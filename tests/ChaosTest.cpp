@@ -783,7 +783,10 @@ TEST(ChaosDeterminismTest, SingleGroupRunsMatchPreShardingBaseline) {
   // below were captured on the pre-refactor tree (FNV-1a of the nemesis
   // trace and history text); a mismatch means the refactor perturbed
   // the legacy path — seed streams, scheduling order, or history
-  // formatting — which it must not.
+  // formatting — which it must not. The DiskFaults, KillForever and
+  // ClockDrift rows were captured before the hosts moved onto
+  // core/Host.h; they pin the persist pre-pass and store recovery, the
+  // suspicion observers, and the read observers.
   struct Golden {
     Scenario Kind;
     uint64_t Seed;
@@ -800,6 +803,15 @@ TEST(ChaosDeterminismTest, SingleGroupRunsMatchPreShardingBaseline) {
        0x042467fefd6b9f36ULL},
       {Scenario::CrashMidReconfig, 1234, 0x88787faa7b3308ebULL,
        0x3238cc0e45835d56ULL},
+      {Scenario::DiskFaults, 77, 0x1b3d7e8f6a37bd28ULL, 0x632a10d5aa459744ULL},
+      {Scenario::DiskFaults, 1234, 0xa43412da2d331412ULL,
+       0x3549101d9b403701ULL},
+      {Scenario::KillForever, 77, 0x2d98561b2badd8b4ULL, 0xa70264a7bebe4657ULL},
+      {Scenario::KillForever, 1234, 0x6c794a6c83220baaULL,
+       0x0f9563b960e2f811ULL},
+      {Scenario::ClockDrift, 77, 0xb96701f435fef46cULL, 0x3466ea68d9aefab9ULL},
+      {Scenario::ClockDrift, 1234, 0x6c11a74bf6101012ULL,
+       0x0a3be581ca42723dULL},
   };
   auto Fnv = [](const std::string &S) {
     Fnv1aHasher H;

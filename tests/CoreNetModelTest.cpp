@@ -53,8 +53,11 @@ TEST(CoreNetModelTest, TwoNodeExhaustiveNoViolations) {
   EXPECT_FALSE(R.Violation.has_value()) << *R.Violation << "\nstate:\n"
                                         << R.ViolatingState;
   // The frontier drains: this configuration is finite and fully checked.
+  // Exact counts pin the model's effect handling: any change to how
+  // effects fold into model state moves them.
   EXPECT_TRUE(R.exhausted());
-  EXPECT_GT(R.States, 100u);
+  EXPECT_EQ(R.States, 33979u);
+  EXPECT_EQ(R.Transitions, 136228u);
 }
 
 TEST(CoreNetModelTest, ThreeNodeBoundedWithReconfigNoViolations) {
