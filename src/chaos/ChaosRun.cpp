@@ -11,6 +11,7 @@
 #include "chaos/Linearizability.h"
 #include "heal/Healer.h"
 #include "kv/KvStore.h"
+#include "read/ReadPath.h"
 
 #include <algorithm>
 
@@ -88,11 +89,10 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
   bool ReadPath = Opts.Nemesis.Kind == Scenario::ClockDrift;
   Result.ReadPath = ReadPath;
   if (ReadPath) {
-    CO.Node.EnableReadIndex = true;
-    CO.Node.EnableLease = true;
-    CO.Node.EnableFollowerReads = true;
-    CO.Node.LeaseDurationUs = 100000;
-    CO.Node.MaxDriftPpm = 100000;
+    read::applyTier({.Tier = read::ReadTier::FollowerLease,
+                     .LeaseDurationUs = 100000,
+                     .MaxDriftPpm = 100000},
+                    CO.Node);
   }
   sim::Cluster C(*Scheme, Initial, Universe, CO, ClusterSeed);
 
@@ -133,7 +133,7 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
     HO.CooldownUs = 400000;
     Doc.emplace(*Scheme, HO);
     for (NodeId Id : C.universe())
-      C.node(Id).setSuspicionObserver(
+      C.node(Id).hooks().OnSuspicion =
           [&](NodeId, NodeId Peer, bool SuspectedNow) {
             if (!SuspectedNow) {
               Doc->observeRecovered(Peer);
@@ -142,7 +142,7 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
             Doc->observeSuspected(Peer);
             if (!FirstSuspectAt)
               FirstSuspectAt = C.queue().now();
-          });
+          };
     const SimTime HealTickUs = 50000;
     SimTime End = Start + Opts.Nemesis.HorizonUs + Opts.QuiescenceUs;
     HealTick = [&, HealTickUs, End] {

@@ -7,6 +7,7 @@
 #include "chaos/RtRun.h"
 
 #include "heal/Healer.h"
+#include "read/ReadPath.h"
 #include "rt/RtCluster.h"
 #include "support/Sync.h"
 
@@ -85,14 +86,13 @@ ChaosRunResult adore::chaos::runRtScenario(const RtRunOptions &Opts,
   bool ReadPath = Opts.Kind == Scenario::ClockDrift;
   Result.ReadPath = ReadPath;
   if (ReadPath) {
-    CO.Node.EnableReadIndex = true;
-    CO.Node.EnableLease = true;
-    CO.Node.EnableFollowerReads = true;
     // fastNodeOptions: ETmin 50ms, heartbeat 15ms. Effective lease =
     // 30ms * (1 - 2*10%) = 24ms — longer than a heartbeat gap, so the
     // lease stays continuously renewed, and well under ETmin.
-    CO.Node.LeaseDurationUs = 30000;
-    CO.Node.MaxDriftPpm = 100000;
+    read::applyTier({.Tier = read::ReadTier::FollowerLease,
+                     .LeaseDurationUs = 30000,
+                     .MaxDriftPpm = 100000},
+                    CO.Node);
   }
   CO.DurableStore =
       Opts.DurableStore || Opts.Kind == Scenario::DiskFaults;

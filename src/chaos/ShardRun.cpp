@@ -264,7 +264,7 @@ adore::chaos::runShardedChaosScenario(const ChaosRunOptions &Opts,
       heal::Healer *Doc = Healers[G].get();
       sim::Cluster &C = Pool.group(G);
       for (NodeId Id : C.universe())
-        C.node(Id).setSuspicionObserver(
+        C.node(Id).hooks().OnSuspicion =
             [&, Doc](NodeId, NodeId Peer, bool SuspectedNow) {
               if (!SuspectedNow) {
                 Doc->observeRecovered(Peer);
@@ -273,7 +273,7 @@ adore::chaos::runShardedChaosScenario(const ChaosRunOptions &Opts,
               Doc->observeSuspected(Peer);
               if (!FirstSuspectAt)
                 FirstSuspectAt = Pool.queue().now();
-            });
+            };
     }
     const SimTime HealTickUs = 50000;
     SimTime End = Start + Opts.Nemesis.HorizonUs + Opts.QuiescenceUs;

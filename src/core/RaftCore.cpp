@@ -16,6 +16,7 @@
 #include "core/RaftCore.h"
 
 #include "core/Codec.h"
+#include "core/Host.h"
 #include "support/Debug.h"
 
 #include <algorithm>
@@ -186,35 +187,33 @@ Effect Effect::readFailed(uint64_t ReadId) {
 }
 
 std::string Effect::str() const {
-  switch (K) {
-  case Kind::Send:
-    return "send " + M.str();
-  case Kind::SetTimer:
-    return std::string("set-timer ") + timerName(Timer) +
-           " gen=" + std::to_string(TimerGen) +
-           " delay=" + std::to_string(DelayUs);
-  case Kind::CancelTimer:
-    return std::string("cancel-timer ") + timerName(Timer);
-  case Kind::Apply:
-    return "apply #" + std::to_string(Index);
-  case Kind::CommitAdvanced:
-    return "commit-advanced #" + std::to_string(Index);
-  case Kind::Persist:
-    return "persist t=" + std::to_string(Term) +
-           " log=" + std::to_string(LogLen);
-  case Kind::LeaderElected:
-    return "leader-elected t=" + std::to_string(Term);
-  case Kind::ReplicaSuspected:
-    return "replica-suspected S" + std::to_string(Peer);
-  case Kind::ReplicaRecovered:
-    return "replica-recovered S" + std::to_string(Peer);
-  case Kind::ReadReady:
-    return "read-ready id=" + std::to_string(ReadId) +
-           " safe#" + std::to_string(Index);
-  case Kind::ReadFailed:
-    return "read-failed id=" + std::to_string(ReadId);
-  }
-  ADORE_UNREACHABLE("unknown effect kind");
+  // Rendered through core/Host.h, which keeps the one switch over Kind.
+  struct Describer {
+    const Effect &E;
+    std::string Out;
+    static std::string n(uint64_t V) { return std::to_string(V); }
+    void persist() { Out = "persist t=" + n(E.Term) + " log=" + n(E.LogLen); }
+    void send(Msg &&M) { Out = "send " + M.str(); }
+    void setTimer(TimerId T, uint64_t Gen, uint64_t DelayUs) {
+      Out = std::string("set-timer ") + timerName(T) + " gen=" + n(Gen) +
+            " delay=" + n(DelayUs);
+    }
+    void cancelTimer(TimerId T) {
+      Out = std::string("cancel-timer ") + timerName(T);
+    }
+    void apply(size_t I, const LogEntry &) { Out = "apply #" + n(I); }
+    void commitAdvanced(size_t I) { Out = "commit-advanced #" + n(I); }
+    void leaderElected(Time T) { Out = "leader-elected t=" + n(T); }
+    void replicaSuspected(NodeId P) { Out = "replica-suspected S" + n(P); }
+    void replicaRecovered(NodeId P) { Out = "replica-recovered S" + n(P); }
+    void readReady(uint64_t Id, size_t I) {
+      Out = "read-ready id=" + n(Id) + " safe#" + n(I);
+    }
+    void readFailed(uint64_t Id) { Out = "read-failed id=" + n(Id); }
+  } D{*this, {}};
+  Effects One{*this};
+  dispatchEffects(One, D);
+  return D.Out;
 }
 
 //===----------------------------------------------------------------------===//

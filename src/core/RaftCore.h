@@ -17,7 +17,7 @@
 /// This is the reproduction's answer to the paper's extraction story
 /// (Section 7): where Adore extracts the verified Coq protocol to OCaml
 /// and deploys *that*, we keep a single C++ protocol core and plug it
-/// into three hosts —
+/// into three hosts, each through the one dispatcher in core/Host.h —
 ///
 ///   sim::RaftNode     effects -> discrete-event queue (deterministic
 ///                     latency/fault simulation, chaos harness)

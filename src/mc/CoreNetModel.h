@@ -32,7 +32,7 @@
 #ifndef ADORE_MC_CORENETMODEL_H
 #define ADORE_MC_CORENETMODEL_H
 
-#include "core/RaftCore.h"
+#include "core/Host.h"
 
 #include <algorithm>
 #include <optional>
@@ -436,61 +436,66 @@ private:
     }
   }
 
-  /// Folds a core's effect list into the model state: sends join the
-  /// network (dropped as loss when full), timer effects maintain the
-  /// armed bits, everything else is host-side and invisible here.
+  /// Folds a core's effect list into the model state through the
+  /// shipping hosts' dispatcher: sends join the network (dropped as loss
+  /// when full), timer effects maintain the armed bits, read outcomes
+  /// resolve pending reads, and everything else is host-side and
+  /// invisible here. Persist is a no-op: crash() keeps durable fields.
   void absorb(State &St, size_t I, core::Effects Effs) const {
-    for (core::Effect &E : Effs) {
-      switch (E.K) {
-      case core::Effect::Kind::Send:
-        if (St.Pending.size() < Opts.MaxPending)
-          St.Pending.push_back(std::move(E.M));
-        break;
-      case core::Effect::Kind::SetTimer:
-        (E.Timer == core::TimerId::Election ? St.ElectionArmed
-                                            : St.HeartbeatArmed)[I] = 1;
-        break;
-      case core::Effect::Kind::CancelTimer:
-        (E.Timer == core::TimerId::Election ? St.ElectionArmed
-                                            : St.HeartbeatArmed)[I] = 0;
-        break;
-      case core::Effect::Kind::ReadReady:
-      case core::Effect::Kind::ReadFailed: {
-        // Resolve the pending read this effect answers. A ReadReady
-        // below the linearizability floor captured at submission IS
-        // the stale read the lease/ReadIndex machinery must prevent.
-        auto It = std::find_if(St.PendingReads.begin(),
-                               St.PendingReads.end(),
-                               [&](const State::PendingRead &PR) {
-                                 return PR.Node == I &&
-                                        PR.ReadId == E.ReadId;
-                               });
-        if (It == St.PendingReads.end())
-          break; // E.g. dropped by a crash; nothing to resolve.
-        if (E.K == core::Effect::Kind::ReadReady &&
-            static_cast<uint64_t>(E.Index) < It->MinCommit &&
-            St.ReadViolation.empty())
-          St.ReadViolation =
-              "stale read: node " + std::to_string(St.Cores[I].id()) +
-              " served read " + std::to_string(E.ReadId) + " at index " +
-              std::to_string(E.Index) + " < committed floor " +
-              std::to_string(It->MinCommit);
-        St.PendingReads.erase(It);
-        break;
+    struct Host {
+      const CoreNetModel &M;
+      State &St;
+      size_t I;
+      void persist() {}
+      void send(core::Msg &&Out) {
+        if (St.Pending.size() < M.Opts.MaxPending)
+          St.Pending.push_back(std::move(Out));
       }
-      case core::Effect::Kind::Apply:
-      case core::Effect::Kind::CommitAdvanced:
-      case core::Effect::Kind::Persist:
-      case core::Effect::Kind::LeaderElected:
+      void setTimer(core::TimerId Timer, uint64_t, uint64_t) {
+        armed(Timer) = 1;
+      }
+      void cancelTimer(core::TimerId Timer) { armed(Timer) = 0; }
+      uint8_t &armed(core::TimerId Timer) {
+        return (Timer == core::TimerId::Election ? St.ElectionArmed
+                                                 : St.HeartbeatArmed)[I];
+      }
+      void apply(size_t, const core::LogEntry &) {}
+      void commitAdvanced(size_t) {}
+      void leaderElected(Time) {}
       // Suspicion transitions are host-side notifications (the heal
       // driver's input); the *state* behind them lives in the core and
       // is fingerprinted there, so the model checker explores every
       // suspect/recover interleaving without extra bookkeeping here.
-      case core::Effect::Kind::ReplicaSuspected:
-      case core::Effect::Kind::ReplicaRecovered:
-        break;
+      void replicaSuspected(NodeId) {}
+      void replicaRecovered(NodeId) {}
+      void readReady(uint64_t ReadId, size_t SafeIndex) {
+        resolveRead(ReadId, SafeIndex, /*Ok=*/true);
       }
-    }
+      void readFailed(uint64_t ReadId) {
+        resolveRead(ReadId, 0, /*Ok=*/false);
+      }
+      /// Resolves the pending read an outcome answers. A ReadReady
+      /// below the linearizability floor captured at submission IS the
+      /// stale read the lease/ReadIndex machinery must prevent.
+      void resolveRead(uint64_t ReadId, size_t SafeIndex, bool Ok) {
+        auto It = std::find_if(St.PendingReads.begin(),
+                               St.PendingReads.end(),
+                               [&](const State::PendingRead &PR) {
+                                 return PR.Node == I && PR.ReadId == ReadId;
+                               });
+        if (It == St.PendingReads.end())
+          return; // E.g. dropped by a crash; nothing to resolve.
+        if (Ok && static_cast<uint64_t>(SafeIndex) < It->MinCommit &&
+            St.ReadViolation.empty())
+          St.ReadViolation =
+              "stale read: node " + std::to_string(St.Cores[I].id()) +
+              " served read " + std::to_string(ReadId) + " at index " +
+              std::to_string(SafeIndex) + " < committed floor " +
+              std::to_string(It->MinCommit);
+        St.PendingReads.erase(It);
+      }
+    } H{*this, St, I};
+    core::dispatchEffects(Effs, H);
   }
 
   template <typename SinkT>

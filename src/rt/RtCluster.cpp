@@ -10,6 +10,7 @@
 #include "support/Rng.h"
 
 #include <chrono>
+#include <functional>
 #include <sstream>
 
 using namespace adore;
@@ -44,7 +45,7 @@ RtCluster::RtCluster(RtClusterOptions Opts)
   InitialConf = Config(Members);
 
   Rng SeedRng(Opts.Seed);
-  RtNodeHooks Hooks;
+  core::HostHooks Hooks;
   Hooks.OnApply = [this](NodeId N, size_t I, const core::LogEntry &E) {
     // The extra tap runs first and lock-free: cluster bookkeeping takes
     // ObsMu, and a sharded pool's map state machine must be free to
@@ -53,14 +54,9 @@ RtCluster::RtCluster(RtClusterOptions Opts)
       this->Opts.OnApplyExtra(N, I, E);
     onApply(N, I, E);
   };
-  Hooks.OnLeader = [this](NodeId N, Time T) { onLeader(N, T); };
-  Hooks.OnSuspicion = [this](NodeId N, NodeId Peer, bool SuspectedNow) {
-    if (this->Opts.OnSuspicion)
-      this->Opts.OnSuspicion(N, Peer, SuspectedNow);
-  };
-  Hooks.OnReadDone = [this](NodeId N, uint64_t Id, bool Ok, size_t Index) {
-    onReadDone(N, Id, Ok, Index);
-  };
+  Hooks.OnLeader = std::bind_front(&RtCluster::onLeader, this);
+  Hooks.OnSuspicion = Opts.OnSuspicion;
+  Hooks.OnRead = std::bind_front(&RtCluster::onReadDone, this);
   if (Opts.DurableStore) {
     store::Vfs *Backing = Opts.ExternalDisk;
     if (!Backing) {
@@ -383,15 +379,10 @@ void RtCluster::onReadDone(NodeId, uint64_t ReadId, bool Ok, size_t Index) {
 
 std::vector<std::string> RtCluster::checkFinalAgreement() {
   sync::MutexLock Lock(ObsMu);
-  for (const auto &N : Nodes) {
-    if (uint64_t M = N->storeMismatches()) {
-      std::ostringstream OS;
-      OS << "node " << N->id() << " observed " << M
-         << " store recovery mismatch(es): disk state diverged from the "
-         << "in-memory copy";
-      Violations.push_back(OS.str());
-    }
-  }
+  for (const auto &N : Nodes)
+    for (const std::string &What : N->storeViolations())
+      Violations.push_back("node " + std::to_string(N->id()) +
+                           " store recovery: " + What);
   for (const auto &N : Nodes) {
     const core::RaftCore &C = N->coreForInspection();
     for (size_t I = 1; I <= C.commitIndex(); ++I) {

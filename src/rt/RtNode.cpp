@@ -9,7 +9,6 @@
 #include "rt/Wire.h"
 #include "store/NodeStore.h"
 
-#include <algorithm>
 #include <vector>
 
 using namespace adore;
@@ -17,41 +16,18 @@ using namespace adore::rt;
 
 RtNode::RtNode(NodeId Id, const ReconfigScheme &Scheme, Config InitialConf,
                core::CoreOptions Opts, uint64_t Seed, Transport &Net,
-               RtNodeHooks Hooks, store::NodeStore *Store, RtHostOptions Host)
+               core::HostHooks Hooks, store::NodeStore *Store,
+               RtHostOptions Host)
     : Id(Id), Net(&Net), Hooks(std::move(Hooks)), Host(Host),
       Core(Id, Scheme, std::move(InitialConf), Opts, Seed),
       Epoch(Clock::now()), Store(Store) {
   // Adopt whatever the store's directory already holds, before the
   // worker thread exists (the core is fresh, so installing is legal).
   if (Store)
-    recoverFromStore(/*CheckAgainstCore=*/false);
+    StoreViolations = Store->recoverInto(Core, /*CheckAgainstCore=*/false);
   Net.attach(Id, [this](std::string Frame) {
     enqueueFrame(std::move(Frame));
   });
-}
-
-void RtNode::recoverFromStore(bool CheckAgainstCore) {
-  store::RecoveredState RS = Store->open();
-  if (RS.Error) {
-    // Unrecoverable directory: keep the in-memory state so the node can
-    // proceed, but surface the mismatch — under the supported fault
-    // model this must never happen.
-    StoreMismatches.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  if (CheckAgainstCore) {
-    // Persist-carrying batches fsync before any effect escapes, so only
-    // deferred Commit records may be lost at a crash: recovered
-    // term/vote/log must equal the in-memory copy exactly, and the
-    // commit index may only lag.
-    bool Mismatch = RS.Term != Core.term() || RS.Vote != Core.votedFor() ||
-                    RS.Log != Core.log() ||
-                    RS.CommitIndex > Core.commitIndex();
-    if (Mismatch)
-      StoreMismatches.fetch_add(1, std::memory_order_relaxed);
-  }
-  Core.installDurableState(RS.Term, RS.Vote, std::move(RS.Log),
-                           RS.CommitIndex);
 }
 
 RtNode::~RtNode() {
@@ -162,10 +138,9 @@ uint64_t RtNode::nowUs() const {
 
 std::optional<RtNode::Clock::time_point> RtNode::nextDeadline() const {
   std::optional<Clock::time_point> Next;
-  if (Election.Armed)
-    Next = Election.At;
-  if (Heartbeat.Armed && (!Next || Heartbeat.At < *Next))
-    Next = Heartbeat.At;
+  for (const Deadline &D : Timers)
+    if (D.Armed && (!Next || D.At < *Next))
+      Next = D.At;
   return Next;
 }
 
@@ -270,7 +245,9 @@ void RtNode::processBarrier(Item &It) {
     // Restarting a node that never crashed is a no-op; only a crashed
     // core may have durable state re-installed.
     if (Store && Core.isCrashed())
-      recoverFromStore(/*CheckAgainstCore=*/true);
+      for (std::string &What :
+           Store->recoverInto(Core, /*CheckAgainstCore=*/true))
+        StoreViolations.push_back(std::move(What));
     dispatch(Core.restart());
     return;
   case Item::Kind::Frame:
@@ -286,85 +263,28 @@ void RtNode::fireDueTimers() {
   // At most one firing per timer per pass; re-arms take a fresh
   // deadline, so the loop in run() converges.
   Clock::time_point Now = Clock::now();
-  if (Election.Armed && Election.At <= Now) {
-    Election.Armed = false;
-    dispatch(Core.onTimer(core::TimerId::Election, Election.Gen, nowUs()));
-  }
-  if (Heartbeat.Armed && Heartbeat.At <= Now) {
-    Heartbeat.Armed = false;
-    dispatch(Core.onTimer(core::TimerId::Heartbeat, Heartbeat.Gen, nowUs()));
+  for (core::TimerId T : {core::TimerId::Election, core::TimerId::Heartbeat}) {
+    Deadline &D = deadline(T);
+    if (D.Armed && D.At <= Now) {
+      D.Armed = false;
+      dispatch(Core.onTimer(T, D.Gen, nowUs()));
+    }
   }
 }
 
 void RtNode::dispatch(core::Effects Effs) {
-  // Persist-before-act: the core emits Persist at the END of a step's
-  // batch (after the Sends it must gate), so a store-backed host
-  // flushes the whole durable delta up front — nothing below,
-  // especially no Send, may escape before the state backing it is on
-  // disk. One fsync covers the whole batch (group commit).
-  if (Store && std::any_of(Effs.begin(), Effs.end(), [](const core::Effect &E) {
-        return E.K == core::Effect::Kind::Persist;
-      })) {
-    Store->persistFrom(Core);
-    Store->sync();
-  }
-  for (core::Effect &E : Effs) {
-    // The switch enumerates every Effect::Kind with no default: adding
-    // a kind without deciding what this host does with it is a compile
-    // error under -Werror=switch, not a silently dropped effect.
-    switch (E.K) {
-    case core::Effect::Kind::Send:
-      Net->post(E.M.To, encodeMsg(E.M));
-      break;
-    case core::Effect::Kind::SetTimer: {
-      Deadline &D =
-          E.Timer == core::TimerId::Election ? Election : Heartbeat;
+  struct Host : core::HostBase<store::NodeStore> {
+    RtNode &N;
+    void send(core::Msg &&M) { N.Net->post(M.To, encodeMsg(M)); }
+    void setTimer(core::TimerId Timer, uint64_t Gen, uint64_t DelayUs) {
+      Deadline &D = N.deadline(Timer);
       D.Armed = true;
-      D.Gen = E.TimerGen;
-      D.At = Clock::now() + std::chrono::microseconds(E.DelayUs);
-      break;
+      D.Gen = Gen;
+      D.At = Clock::now() + std::chrono::microseconds(DelayUs);
     }
-    case core::Effect::Kind::CancelTimer:
-      (E.Timer == core::TimerId::Election ? Election : Heartbeat).Armed =
-          false;
-      break;
-    case core::Effect::Kind::Apply:
-      if (Hooks.OnApply)
-        Hooks.OnApply(Id, E.Index, E.Entry);
-      break;
-    case core::Effect::Kind::CommitAdvanced:
-      // Deferred durability: the commit record rides the next sync
-      // barrier; losing it at a crash is safe (recovery re-derives
-      // commits from the quorum).
-      if (Store)
-        Store->noteCommit(E.Index);
-      break;
-    case core::Effect::Kind::Persist:
-      // Handled by the pre-pass above. Without a store, crash is
-      // state-level and the core preserves durable fields by fiat.
-      break;
-    case core::Effect::Kind::LeaderElected:
-      if (Hooks.OnLeader)
-        Hooks.OnLeader(Id, E.Term);
-      break;
-    case core::Effect::Kind::ReplicaSuspected:
-      if (Hooks.OnSuspicion)
-        Hooks.OnSuspicion(Id, E.Peer, /*Suspected=*/true);
-      break;
-    case core::Effect::Kind::ReplicaRecovered:
-      if (Hooks.OnSuspicion)
-        Hooks.OnSuspicion(Id, E.Peer, /*Suspected=*/false);
-      break;
-    case core::Effect::Kind::ReadReady:
-      if (Hooks.OnReadDone)
-        Hooks.OnReadDone(Id, E.ReadId, /*Ok=*/true, E.Index);
-      break;
-    case core::Effect::Kind::ReadFailed:
-      if (Hooks.OnReadDone)
-        Hooks.OnReadDone(Id, E.ReadId, /*Ok=*/false, 0);
-      break;
-    }
-  }
+    void cancelTimer(core::TimerId Timer) { N.deadline(Timer).Armed = false; }
+  } H{{Core, Hooks, Store}, *this};
+  core::dispatchEffects(Effs, H);
   publishStatus();
 }
 

@@ -24,16 +24,19 @@
 #ifndef ADORE_RT_RTNODE_H
 #define ADORE_RT_RTNODE_H
 
-#include "core/RaftCore.h"
+#include "core/Host.h"
 #include "rt/Transport.h"
 #include "support/Sync.h"
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <deque>
 #include <functional>
 #include <optional>
+#include <string>
 #include <thread>
+#include <vector>
 
 namespace adore {
 
@@ -42,22 +45,6 @@ class NodeStore;
 } // namespace store
 
 namespace rt {
-
-/// Host callbacks; both run on the node's thread and must be
-/// thread-safe against other nodes' threads.
-struct RtNodeHooks {
-  std::function<void(NodeId, size_t, const core::LogEntry &)> OnApply;
-  std::function<void(NodeId, Time)> OnLeader;
-  /// Leader-observed liveness transition: (observer, peer, suspected).
-  /// Fires only with core::CoreOptions::EnableSuspicion; the rt heal
-  /// driver subscribes.
-  std::function<void(NodeId, NodeId, bool)> OnSuspicion;
-  /// Read outcome: (node, ReadId, ok, safe index). On ok the node's
-  /// applied state machine has reached the safe index, so serving the
-  /// read from this replica is linearizable. Fires only when a read
-  /// tier (core::CoreOptions::EnableReadIndex/...) is on.
-  std::function<void(NodeId, uint64_t, bool, size_t)> OnReadDone;
-};
 
 /// Host-side tuning, orthogonal to core::CoreOptions.
 struct RtHostOptions {
@@ -87,14 +74,15 @@ struct RtNodeStatus {
 /// One threaded replica.
 class RtNode {
 public:
-  /// \p Store, when non-null, makes persistence real: the node adopts
-  /// whatever the store's directory holds at construction, flushes the
-  /// WAL before acting on any Persist-carrying effect batch, powers the
-  /// disk down on crash, and recovers from it on restart (cross-checking
-  /// the result against the in-memory copy).
+  /// \p Hooks run on the node's thread and must be thread-safe against
+  /// other nodes' threads. \p Store, when non-null, makes persistence
+  /// real: the node adopts whatever the store's directory holds at
+  /// construction, flushes the WAL before acting on any Persist-carrying
+  /// effect batch, powers the disk down on crash, and recovers from it
+  /// on restart (cross-checking the result against the in-memory copy).
   RtNode(NodeId Id, const ReconfigScheme &Scheme, Config InitialConf,
          core::CoreOptions Opts, uint64_t Seed, Transport &Net,
-         RtNodeHooks Hooks, store::NodeStore *Store = nullptr,
+         core::HostHooks Hooks, store::NodeStore *Store = nullptr,
          RtHostOptions Host = {});
   ~RtNode();
 
@@ -121,7 +109,7 @@ public:
   void requestReconfig(Config NewConf);
 
   /// Enqueues a linearizable read (any thread); the outcome arrives via
-  /// RtNodeHooks::OnReadDone with the same host-chosen \p ReadId.
+  /// core::HostHooks::OnRead with the same host-chosen \p ReadId.
   void read(uint64_t ReadId);
 
   /// State-level fail-stop / recovery (any thread).
@@ -134,11 +122,12 @@ public:
   /// Count of bus frames that failed wire decoding (any thread).
   uint64_t malformedFrames() const;
 
-  /// Store-backed mode: restarts whose recovered state diverged from
-  /// the in-memory copy, or whose directory was unrecoverable (any
-  /// thread). Always 0 in in-memory mode.
-  uint64_t storeMismatches() const {
-    return StoreMismatches.load(std::memory_order_relaxed);
+  /// Store-backed mode: one line per recovered field that diverged from
+  /// the in-memory copy at a restart, or per unrecoverable directory
+  /// (store::NodeStore::recoverInto's text). Always empty in in-memory
+  /// mode. Same safety contract as coreForInspection().
+  const std::vector<std::string> &storeViolations() const {
+    return StoreViolations;
   }
 
   /// Direct read access to the hosted core. Safe ONLY while the worker
@@ -179,9 +168,6 @@ private:
   void fireDueTimers();
   void dispatch(core::Effects Effs);
   void publishStatus();
-  /// Store recovery + install into the (crashed or fresh) core; see the
-  /// ctor comment. Worker thread (or pre-start construction) only.
-  void recoverFromStore(bool CheckAgainstCore);
 
   /// One armed core timer mapped onto the steady clock. Worker-thread
   /// only.
@@ -192,16 +178,19 @@ private:
   };
 
   std::optional<Clock::time_point> nextDeadline() const;
+  Deadline &deadline(core::TimerId T) {
+    return Timers[static_cast<size_t>(T)];
+  }
 
   NodeId Id;
   Transport *Net;
-  RtNodeHooks Hooks;
+  core::HostHooks Hooks;
   RtHostOptions Host;
   core::RaftCore Core; ///< Worker-thread only once start()ed.
   Clock::time_point Epoch;
 
-  Deadline Election;  ///< Worker-thread only.
-  Deadline Heartbeat; ///< Worker-thread only.
+  /// Indexed by core::TimerId. Worker-thread only.
+  std::array<Deadline, 2> Timers;
 
   /// Serializes start()/stop() end to end: the worker thread never
   /// takes it, so stop() may join while holding it, and a start() racing
@@ -218,7 +207,7 @@ private:
   RtNodeStatus Cached ADORE_GUARDED_BY(StatusMu);
 
   std::atomic<uint64_t> Malformed{0};
-  std::atomic<uint64_t> StoreMismatches{0};
+  std::vector<std::string> StoreViolations; ///< Worker-thread only.
   store::NodeStore *Store = nullptr; ///< Worker-thread only once started.
 
   std::thread Worker ADORE_GUARDED_BY(LifeMu);

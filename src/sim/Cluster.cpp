@@ -7,6 +7,7 @@
 #include "sim/Cluster.h"
 
 #include <cassert>
+#include <functional>
 
 using namespace adore;
 using namespace adore::sim;
@@ -36,27 +37,19 @@ Cluster::Cluster(const ReconfigScheme &Scheme, Config InitialConf,
       Stores.emplace(Id, std::move(St));
     }
   }
+  core::HostHooks Hooks;
+  Hooks.OnApply = std::bind_front(&Cluster::onApply, this);
+  Hooks.OnLeader = std::bind_front(&Cluster::noteLeader, this);
+  Hooks.OnRead = std::bind_front(&Cluster::onReadDone, this);
   for (NodeId Id : this->Universe) {
     Rng NodeRng = R.fork();
     store::NodeStore *St =
         Opts.DurableStore ? Stores.at(Id).get() : nullptr;
-    Nodes.emplace(
-        Id, std::make_unique<RaftNode>(
-                Id, Scheme, InitialConf, Opts.Node, *Q, NodeRng.next(),
-                [this](SimMsg M) { sendMsg(std::move(M)); },
-                [this](NodeId N, size_t I, const SimLogEntry &E) {
-                  onApply(N, I, E);
-                },
-                St));
-  }
-  for (auto &[Id, Node] : Nodes) {
-    Node->setLeaderObserver(
-        [this](NodeId Leader, Time Term) { noteLeader(Leader, Term); });
+    auto Node = std::make_unique<RaftNode>(
+        Id, Scheme, InitialConf, Opts.Node, *Q, NodeRng.next(),
+        [this](SimMsg M) { sendMsg(std::move(M)); }, Hooks, St);
     Node->setStoreViolationSink(&StoreViolationsVec);
-    Node->setReadObserver(
-        [this](NodeId Server, uint64_t ReadId, bool Ok, size_t Index) {
-          onReadDone(Server, ReadId, Ok, Index);
-        });
+    Nodes.emplace(Id, std::move(Node));
   }
 }
 

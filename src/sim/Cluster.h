@@ -51,7 +51,7 @@ struct LinkOptions {
 
 /// Cluster-level knobs.
 struct ClusterOptions {
-  NodeOptions Node;
+  core::CoreOptions Node;
   LinkOptions Link;
   /// Client gives up waiting for a response and retries after this long.
   SimTime ClientTimeoutUs = 400000;

@@ -10,7 +10,8 @@
 /// firings, client commands) and maps the returned effect list onto the
 /// sim::EventQueue — Send becomes the cluster's latency/loss network
 /// callback, SetTimer becomes a scheduled callback that re-enters the
-/// core with the carried generation, Apply becomes the OnApply hook.
+/// core with the carried generation, and the observer effects reach
+/// the core::HostHooks table. The dispatch itself is core/Host.h's.
 /// No protocol logic lives here; role transitions, quorum checks, log
 /// truncation, and reconfiguration guards are all core::RaftCore's.
 ///
@@ -29,7 +30,7 @@
 #ifndef ADORE_SIM_RAFTNODE_H
 #define ADORE_SIM_RAFTNODE_H
 
-#include "core/RaftCore.h"
+#include "core/Host.h"
 #include "sim/EventQueue.h"
 
 #include <functional>
@@ -55,48 +56,19 @@ using SimLogEntry = core::LogEntry;
 /// Wire messages of the executable protocol.
 using SimMsg = core::Msg;
 
-/// Timing knobs (virtual microseconds).
-struct NodeOptions {
-  SimTime ElectionTimeoutMinUs = 150000;
-  SimTime ElectionTimeoutMaxUs = 300000;
-  SimTime HeartbeatUs = 50000;
-  size_t MaxEntriesPerAppend = 64;
-  /// Forwarded to core::CoreOptions::DisableVoteStickiness — injectable
-  /// §4.2.3 misbehavior, for regression tests only.
-  bool DisableVoteStickiness = false;
-  /// Self-healing knobs, forwarded to the core (see core::CoreOptions).
-  /// Both default off so pre-healing seeds keep byte-identical schedules.
-  bool EnableSuspicion = false;
-  uint32_t SuspicionSuspectScore = 8;
-  uint32_t SuspicionRecoverScore = 2;
-  bool EnableSnapshotCatchup = false;
-  size_t SnapshotLagEntries = 64;
-  size_t SnapshotChunkBytes = 4096;
-  /// Linearizable-read tiers, forwarded to the core (see
-  /// core::CoreOptions). All default off: legacy seeds draw the same
-  /// schedules byte-for-byte.
-  bool EnableReadIndex = false;
-  bool EnableLease = false;
-  uint64_t LeaseDurationUs = 0;
-  uint64_t MaxDriftPpm = 0;
-  bool EnableFollowerReads = false;
-  bool TestIgnoreLeaseExpiry = false;
-};
-
 /// A single simulated replica: core::RaftCore + effect plumbing.
 class RaftNode {
 public:
   /// \p Send transmits a message (the host applies latency/loss).
-  /// \p OnApply fires for every entry this node applies (commits), in
-  /// log order. \p Store, when non-null, makes persistence real: durable
-  /// state flows through the WAL before any effect of a Persist-carrying
-  /// batch executes, crash() powers the store's disk down, and restart()
-  /// recovers from what survived instead of trusting memory.
+  /// \p Hooks observe applies, elections, suspicion and reads (see
+  /// core::HostHooks). \p Store, when non-null, makes persistence real:
+  /// durable state flows through the WAL before any effect of a
+  /// Persist-carrying batch executes, crash() powers the store's disk
+  /// down, and restart() recovers from what survived instead of
+  /// trusting memory.
   RaftNode(NodeId Id, const ReconfigScheme &Scheme, Config InitialConf,
-           NodeOptions Opts, EventQueue &Queue, uint64_t Seed,
-           std::function<void(SimMsg)> Send,
-           std::function<void(NodeId, size_t, const SimLogEntry &)>
-               OnApply,
+           core::CoreOptions Opts, EventQueue &Queue, uint64_t Seed,
+           std::function<void(SimMsg)> Send, core::HostHooks Hooks,
            store::NodeStore *Store = nullptr);
 
   /// Arms the first election timeout; call once at cluster start.
@@ -141,17 +113,14 @@ public:
   bool transferLeadership(NodeId Target);
 
   /// Starts a linearizable read (core::RaftCore::readQuery). The read
-  /// observer fires with the outcome — possibly synchronously, before
-  /// this returns. Returns false if the core failed it synchronously.
+  /// hook fires with the outcome — possibly synchronously, before this
+  /// returns. Returns false if the core failed it synchronously.
   bool read(uint64_t ReadId);
 
-  /// Observer for read outcomes: (node, ReadId, ok, safe index). On
-  /// ok the node's applied state machine has reached the safe index,
-  /// so serving the read from this replica is linearizable.
-  void setReadObserver(
-      std::function<void(NodeId, uint64_t, bool, size_t)> Fn) {
-    OnRead = std::move(Fn);
-  }
+  /// The node's observers. Harnesses that attach to a node after
+  /// construction (the heal drivers' suspicion taps, a test's read
+  /// probe) replace entries here.
+  core::HostHooks &hooks() { return Hooks; }
 
   /// Skews this node's protocol clock: every NowUs the core observes
   /// (message receipt, timer firing, read submission) is offset by
@@ -160,20 +129,6 @@ public:
   /// the event loop. The clock-drift nemesis drives this.
   void setClockSkew(int64_t SkewUs) { ClockSkewUs = SkewUs; }
   int64_t clockSkew() const { return ClockSkewUs; }
-
-  /// Observer fired whenever this node wins an election, with the term it
-  /// now leads. The chaos harness uses it to check election safety (at
-  /// most one leader per term) at runtime.
-  void setLeaderObserver(std::function<void(NodeId, Time)> Fn) {
-    OnLeader = std::move(Fn);
-  }
-
-  /// Observer for leader-observed liveness transitions: fired with this
-  /// node's id, the peer, and true (suspected) / false (recovered).
-  /// Requires NodeOptions::EnableSuspicion; the heal driver subscribes.
-  void setSuspicionObserver(std::function<void(NodeId, NodeId, bool)> Fn) {
-    OnSuspicion = std::move(Fn);
-  }
 
   //===--------------------------------------------------------------===//
   // Introspection (forwarded to the core)
@@ -205,11 +160,8 @@ public:
   const core::RaftCore &core() const { return Core; }
 
 private:
-  /// Executes the core's effects in emission order against the event
-  /// queue and host callbacks. When a batch carries a Persist effect,
-  /// the store is flushed up front (persist-before-act): the core emits
-  /// Persist at the end of the step, but nothing — especially no Send —
-  /// may escape before the durable state backing it is on disk.
+  /// Executes the core's effects through core::dispatchEffects against
+  /// the event queue, the store and the hooks.
   void dispatch(core::Effects Effs);
 
   /// The node's (possibly skewed) protocol clock, clamped at zero.
@@ -218,18 +170,10 @@ private:
     return Now < 0 ? 0 : static_cast<uint64_t>(Now);
   }
 
-  /// Runs store recovery and installs the result into the (crashed or
-  /// fresh) core. \p CheckAgainstCore enables the restart-time
-  /// cross-check against the idealized in-memory state.
-  void recoverFromStore(bool CheckAgainstCore);
-
   EventQueue *Queue;
   core::RaftCore Core;
   std::function<void(SimMsg)> SendFn;
-  std::function<void(NodeId, size_t, const SimLogEntry &)> ApplyFn;
-  std::function<void(NodeId, Time)> OnLeader;
-  std::function<void(NodeId, NodeId, bool)> OnSuspicion;
-  std::function<void(NodeId, uint64_t, bool, size_t)> OnRead;
+  core::HostHooks Hooks;
   store::NodeStore *Store = nullptr;
   std::vector<std::string> *StoreViolations = nullptr;
   int64_t ClockSkewUs = 0;

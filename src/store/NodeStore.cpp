@@ -225,6 +225,41 @@ RecoveredState NodeStore::open() {
   return RS;
 }
 
+std::vector<std::string> NodeStore::recoverInto(core::RaftCore &Core,
+                                                bool CheckAgainstCore) {
+  RecoveredState RS = open();
+  // Unrecoverable directory: leave the in-memory state in place so the
+  // run can proceed, but report it — under the supported fault model
+  // this must never happen.
+  if (RS.Error)
+    return {*RS.Error};
+  std::vector<std::string> Mismatches;
+  if (CheckAgainstCore) {
+    // Every Persist-carrying batch syncs before any of its effects
+    // escape, so the only bytes a crash may cost are deferred Commit
+    // records: recovered term/vote/log must match the in-memory copy
+    // EXACTLY, even with crash faults on, and only the commit index may
+    // lag.
+    if (RS.Term != Core.term())
+      Mismatches.push_back("recovered term " + std::to_string(RS.Term) +
+                           " != in-memory " + std::to_string(Core.term()));
+    if (RS.Vote != Core.votedFor())
+      Mismatches.push_back("recovered vote differs from in-memory vote");
+    if (RS.Log != Core.log())
+      Mismatches.push_back("recovered log (" + std::to_string(RS.Log.size()) +
+                           " entries) differs from in-memory log (" +
+                           std::to_string(Core.log().size()) + " entries)");
+    if (RS.CommitIndex > Core.commitIndex())
+      Mismatches.push_back("recovered commit index " +
+                           std::to_string(RS.CommitIndex) +
+                           " ahead of in-memory " +
+                           std::to_string(Core.commitIndex()));
+  }
+  Core.installDurableState(RS.Term, RS.Vote, std::move(RS.Log),
+                           RS.CommitIndex);
+  return Mismatches;
+}
+
 //===----------------------------------------------------------------------===//
 // Write path
 //===----------------------------------------------------------------------===//

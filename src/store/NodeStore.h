@@ -22,7 +22,8 @@
 /// Hosts call persistFrom(core)+sync() before acting on any effect of a
 /// batch that carries a Persist effect (persist-before-act), call
 /// noteCommit() on CommitAdvanced (deferred: rides the next sync), and
-/// on restart call open() and install the RecoveredState into the core.
+/// at start and restart call recoverInto(), which opens the store and
+/// installs what it recovered into the core.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -103,6 +104,15 @@ public:
   /// physically truncating — the first corrupt byte. Leaves the store
   /// positioned to append. Call once at start and again after crash().
   RecoveredState open();
+
+  /// The hosts' recovery path: open(), then with \p CheckAgainstCore
+  /// cross-check the recovered term, vote and log (which must equal the
+  /// core's in-memory copy) and commit index (which may only lag), then
+  /// install the recovered state into \p Core. Returns one message per
+  /// mismatching field; an unrecoverable directory returns its error
+  /// and leaves \p Core untouched.
+  std::vector<std::string> recoverInto(core::RaftCore &Core,
+                                       bool CheckAgainstCore);
 
   /// Diffs the core's durable fields against the WAL mirror and appends
   /// the delta (unsynced). Returns false on I/O error.

@@ -570,13 +570,13 @@ TEST(ReadChaosTest, LeaseExpiryMutationIsCaughtByTheChecker) {
   // partition), serving the overwritten value.
   bool ReadOk = false;
   bool ReadSeen = false;
-  TC->node(Stale).setReadObserver(
-      [&](NodeId, uint64_t Id, bool Ok, size_t) {
-        if (Id == 777) {
-          ReadSeen = true;
-          ReadOk = Ok;
-        }
-      });
+  TC->node(Stale).hooks().OnRead = [&](NodeId, uint64_t Id, bool Ok,
+                                       size_t) {
+    if (Id == 777) {
+      ReadSeen = true;
+      ReadOk = Ok;
+    }
+  };
   SimTime InvokedAt = TC->queue().now();
   TC->node(Stale).read(777);
   Deadline = TC->queue().now() + 1000000;

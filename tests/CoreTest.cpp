@@ -10,11 +10,13 @@
 /// raft/Message.h log-comparison helpers (deduplicated from the sim and
 /// raft layers) and the Raft §4.2.3 vote-stickiness guard, both at the
 /// single-core level and as a full-cluster disruptive-server regression
-/// test in the simulator.
+/// test in the simulator. Also pins the host contract (core/Host.h):
+/// the dispatcher's persist-before-act order and per-kind routing.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/Codec.h"
+#include "core/Host.h"
 #include "core/RaftCore.h"
 #include "sim/Cluster.h"
 
@@ -1291,4 +1293,109 @@ TEST(PipelineTest, UnitWindowAndBatchReproduceLegacySchedule) {
   EXPECT_EQ(A.inFlightTo(2), 0u);
   EXPECT_EQ(B.inFlightTo(2), 0u);
   EXPECT_EQ(A.pendingBatch(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Host contract (core/Host.h): the one effect dispatcher every host runs
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A host that records which hook each effect reached, in call order.
+struct RecordingHost {
+  std::vector<std::string> Calls;
+
+  void persist() { Calls.push_back("persist"); }
+  void send(Msg &&M) { Calls.push_back("send to " + std::to_string(M.To)); }
+  void setTimer(TimerId T, uint64_t Gen, uint64_t DelayUs) {
+    Calls.push_back("set-timer " + std::to_string(int(T)) + " gen " +
+                    std::to_string(Gen) + " after " + std::to_string(DelayUs));
+  }
+  void cancelTimer(TimerId T) {
+    Calls.push_back("cancel-timer " + std::to_string(int(T)));
+  }
+  void apply(size_t Index, const LogEntry &E) {
+    Calls.push_back("apply " + std::to_string(Index) + " method " +
+                    std::to_string(E.Method));
+  }
+  void commitAdvanced(size_t Index) {
+    Calls.push_back("commit " + std::to_string(Index));
+  }
+  void leaderElected(Time Term) {
+    Calls.push_back("leader " + std::to_string(Term));
+  }
+  void replicaSuspected(NodeId Peer) {
+    Calls.push_back("suspected " + std::to_string(Peer));
+  }
+  void replicaRecovered(NodeId Peer) {
+    Calls.push_back("recovered " + std::to_string(Peer));
+  }
+  void readReady(uint64_t ReadId, size_t SafeIndex) {
+    Calls.push_back("read-ready " + std::to_string(ReadId) + " at " +
+                    std::to_string(SafeIndex));
+  }
+  void readFailed(uint64_t ReadId) {
+    Calls.push_back("read-failed " + std::to_string(ReadId));
+  }
+};
+
+Msg msgTo(NodeId To) {
+  Msg M;
+  M.To = To;
+  return M;
+}
+
+} // namespace
+
+TEST(HostTest, PersistRunsOnceBeforeTheEffectsItGates) {
+  // The core emits Persist at the end of a batch; the host must make the
+  // state durable before the Send that announces it escapes.
+  Effects Effs{Effect::send(msgTo(2)),
+               Effect::setTimer(TimerId::Heartbeat, 5, 50),
+               Effect::persist(/*Term=*/3, /*LogLen=*/1),
+               Effect::persist(/*Term=*/3, /*LogLen=*/2)};
+  RecordingHost H;
+  dispatchEffects(Effs, H);
+  EXPECT_EQ(H.Calls, (std::vector<std::string>{"persist", "send to 2",
+                                               "set-timer 1 gen 5 after 50"}));
+}
+
+TEST(HostTest, BatchWithoutPersistNeverPersists) {
+  Effects Effs{Effect::send(msgTo(3)), Effect::commitAdvanced(4),
+               Effect::cancelTimer(TimerId::Election)};
+  RecordingHost H;
+  dispatchEffects(Effs, H);
+  EXPECT_EQ(H.Calls, (std::vector<std::string>{"send to 3", "commit 4",
+                                               "cancel-timer 0"}));
+  Effects Empty;
+  dispatchEffects(Empty, H);
+  EXPECT_EQ(H.Calls.size(), 3u);
+}
+
+TEST(HostTest, EveryEffectKindReachesItsOwnHook) {
+  LogEntry E;
+  E.Method = 77;
+  Effects Effs{Effect::send(msgTo(2)),
+               Effect::setTimer(TimerId::Election, 1, 150),
+               Effect::cancelTimer(TimerId::Heartbeat),
+               Effect::apply(4, E),
+               Effect::commitAdvanced(4),
+               Effect::persist(/*Term=*/2, /*LogLen=*/4),
+               Effect::leaderElected(2),
+               Effect::replicaSuspected(3),
+               Effect::replicaRecovered(3),
+               Effect::readReady(9, 4),
+               Effect::readFailed(10)};
+  // The batch holds every kind, so a kind added to Effect::Kind without
+  // a hook here fails this check (and Host.h's switch fails to compile).
+  for (unsigned K = 0; K <= unsigned(Effect::Kind::ReadFailed); ++K)
+    EXPECT_EQ(count(Effs, Effect::Kind(K)), 1u) << "kind " << K;
+  RecordingHost H;
+  dispatchEffects(Effs, H);
+  EXPECT_EQ(H.Calls,
+            (std::vector<std::string>{
+                "persist", "send to 2", "set-timer 0 gen 1 after 150",
+                "cancel-timer 1", "apply 4 method 77", "commit 4", "leader 2",
+                "suspected 3", "recovered 3", "read-ready 9 at 4",
+                "read-failed 10"}));
 }

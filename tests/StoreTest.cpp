@@ -24,7 +24,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <thread>
 
 using namespace adore;
 using namespace adore::store;
@@ -838,10 +840,22 @@ TEST(StoreRtTest, StoreBackedRtClusterSurvivesCrashRestart) {
   for (MethodId M = 1; M <= 3; ++M)
     EXPECT_TRUE(C.submitAndWait(M, 3000));
 
+  // RtNode::run returns on stop without draining its inbox, so a
+  // Restart still queued behind the final commit could be dropped. Wait
+  // for the victim's worker to act on each control item instead.
   NodeId Victim = Leader == 3 ? 2 : 3;
+  auto WaitCrashed = [&](bool Crashed) {
+    auto Until = std::chrono::steady_clock::now() + std::chrono::seconds(3);
+    while (C.nodeStatus(Victim).Crashed != Crashed &&
+           std::chrono::steady_clock::now() < Until)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return C.nodeStatus(Victim).Crashed == Crashed;
+  };
   C.crash(Victim);
+  EXPECT_TRUE(WaitCrashed(true));
   EXPECT_TRUE(C.submitAndWait(4, 3000));
   C.restart(Victim);
+  EXPECT_TRUE(WaitCrashed(false));
   EXPECT_TRUE(C.submitAndWait(5, 3000));
 
   C.stop();

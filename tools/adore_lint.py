@@ -39,6 +39,10 @@ Rules (ids are stable; fixtures assert each one fires):
                     EntryKind, TimerId, Scenario) has a default: label,
                     forfeiting the -Werror=switch exhaustiveness
                     guarantee.
+  effect-dispatch   a switch over core::Effect::Kind outside core/Host.h:
+                    hosts plug into the one dispatcher there instead of
+                    copying the effect switch (and its persist-before-act
+                    pre-pass).
 
 Seams: files listed in ALLOWLIST are deliberate owners of otherwise
 banned machinery (the parallel exploration driver owns threads and the
@@ -131,6 +135,12 @@ DECODER_DEF_RE = re.compile(
 PROTOCOL_ENUM_CASE_RE = re.compile(
     r"\bcase\s+[\w:]*(?:Effect::Kind|Msg::Kind|MsgKind|RecordType|"
     r"EntryKind|TimerId|Scenario)::")
+
+# Case labels of a switch over the core's effect kinds, and the one file
+# allowed to hold such a switch: the host contract every runtime and the
+# model checker dispatch through.
+EFFECT_CASE_RE = re.compile(r"\bcase\s+[\w:]*\bEffect::Kind::")
+EFFECT_DISPATCHER = "core/Host.h"
 
 # (relative path under src/) -> set of rule ids the file may violate.
 # Every entry is a reviewed architectural seam; add a justification.
@@ -416,10 +426,9 @@ def _strip_nested_switches(body):
         out = out[:m.start()] + out[j + 1:]
 
 
-def check_enum_switch_default(src, findings):
-    if src.allowlisted("enum-switch-default"):
-        return
-    text = src.stripped
+def _switches(text):
+    """Yields (line, own labels) for every switch in `text`, where own
+    labels is the switch body with nested switches blanked out."""
     for m in re.finditer(r"\bswitch\b", text):
         brace = text.find("{", m.end())
         if brace < 0:
@@ -434,18 +443,34 @@ def check_enum_switch_default(src, findings):
                     break
             j += 1
         body = text[brace:j + 1]
-        # Only this switch's own labels: blank out nested switches.
-        own = _strip_nested_switches(body[1:-1])
+        yield (text.count("\n", 0, m.start()) + 1,
+               _strip_nested_switches(body[1:-1]))
+
+
+def check_enum_switch_default(src, findings):
+    if src.allowlisted("enum-switch-default"):
+        return
+    for line, own in _switches(src.stripped):
         if not PROTOCOL_ENUM_CASE_RE.search(own):
             continue
-        dm = re.search(r"\bdefault\s*:", own)
-        if dm:
-            line = text.count("\n", 0, m.start()) + 1
+        if re.search(r"\bdefault\s*:", own):
             findings.append(Finding(
                 "enum-switch-default", src.rel, line,
                 "switch over a protocol enum has a default: label; "
                 "enumerate every variant so -Werror=switch guards "
                 "additions"))
+
+
+def check_effect_dispatch(src, findings):
+    if src.rel == EFFECT_DISPATCHER or src.allowlisted("effect-dispatch"):
+        return
+    for line, own in _switches(src.stripped):
+        if EFFECT_CASE_RE.search(own):
+            findings.append(Finding(
+                "effect-dispatch", src.rel, line,
+                "switch over core::Effect::Kind outside %s; implement "
+                "the host hooks and call core::dispatchEffects instead"
+                % EFFECT_DISPATCHER))
 
 
 # --------------------------------------------------------------------------
@@ -462,6 +487,7 @@ def lint(files):
         check_decode_cast(src, findings)
         check_codec_discipline(src, files, findings)
         check_enum_switch_default(src, findings)
+        check_effect_dispatch(src, findings)
     return findings
 
 
@@ -530,7 +556,8 @@ def run_self_test(args):
         ok = False
     rules_fired = {r for r, _ in actual}
     all_rules = {"layering", "purity-include", "purity-token",
-                 "decode-cast", "codec-discipline", "enum-switch-default"}
+                 "decode-cast", "codec-discipline", "enum-switch-default",
+                 "effect-dispatch"}
     for rule in sorted(all_rules - rules_fired):
         print("self-test: no fixture exercises rule [%s]" % rule)
         ok = False
