@@ -32,7 +32,6 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
-#include <functional>
 #include <optional>
 #include <string>
 #include <thread>

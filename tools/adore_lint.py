@@ -462,7 +462,7 @@ def check_enum_switch_default(src, findings):
 
 
 def check_effect_dispatch(src, findings):
-    if src.rel == EFFECT_DISPATCHER or src.allowlisted("effect-dispatch"):
+    if src.rel == EFFECT_DISPATCHER:
         return
     for line, own in _switches(src.stripped):
         if EFFECT_CASE_RE.search(own):
