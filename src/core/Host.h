@@ -16,8 +16,10 @@
 /// A host is any type with these members (called statically: the
 /// template adds no indirect call of its own):
 ///
-///   void persist();               // once, before any other effect of a
-///                                 // batch that carries Persist
+///   void persist(size_t DirtyFrom); // once, before any other effect of
+///                                 // a batch that carries Persist;
+///                                 // DirtyFrom is the lowest first-
+///                                 // changed log index among them
 ///   void send(Msg &&M);
 ///   void setTimer(TimerId T, uint64_t Gen, uint64_t DelayUs);
 ///   void cancelTimer(TimerId T);
@@ -67,12 +69,16 @@ struct HostHooks {
 /// it must gate, so when the batch carries one the host persists up
 /// front — nothing, especially no Send, may escape before the state
 /// backing it is durable. Persisting more than the step needed is
-/// always safe; acting before the flush is not.
+/// always safe; acting before the flush is not. A batch may hold several
+/// steps (rt drains its inbox in bursts), so the host is told the lowest
+/// dirty-from index among their Persist effects.
 template <typename HostT> void dispatchEffects(Effects &Effs, HostT &H) {
-  if (std::any_of(Effs.begin(), Effs.end(), [](const Effect &E) {
-        return E.K == Effect::Kind::Persist;
-      }))
-    H.persist();
+  size_t DirtyFrom = SIZE_MAX;
+  for (const Effect &E : Effs)
+    if (E.K == Effect::Kind::Persist)
+      DirtyFrom = std::min(DirtyFrom, E.Index);
+  if (DirtyFrom != SIZE_MAX)
+    H.persist(DirtyFrom);
   for (Effect &E : Effs) {
     // No default: adding an Effect::Kind without deciding what hosts do
     // with it is a compile error under -Werror=switch.
@@ -125,9 +131,9 @@ template <typename StoreT> struct HostBase {
 
   /// One sync covers the whole batch (group commit). Without a store,
   /// crash is state-level and the core keeps durable fields by fiat.
-  void persist() const {
+  void persist(size_t DirtyFrom) const {
     if (Store) {
-      Store->persistFrom(Core);
+      Store->persistFrom(Core, DirtyFrom);
       Store->sync();
     }
   }

@@ -142,11 +142,12 @@ Effect Effect::commitAdvanced(size_t Index) {
   return E;
 }
 
-Effect Effect::persist(Time Term, size_t LogLen) {
+Effect Effect::persist(Time Term, size_t LogLen, size_t DirtyFrom) {
   Effect E;
   E.K = Kind::Persist;
   E.Term = Term;
   E.LogLen = LogLen;
+  E.Index = DirtyFrom;
   return E;
 }
 
@@ -192,7 +193,10 @@ std::string Effect::str() const {
     const Effect &E;
     std::string Out;
     static std::string n(uint64_t V) { return std::to_string(V); }
-    void persist() { Out = "persist t=" + n(E.Term) + " log=" + n(E.LogLen); }
+    void persist(size_t DirtyFrom) {
+      Out = "persist t=" + n(E.Term) + " log=" + n(E.LogLen) +
+            " from=" + n(DirtyFrom);
+    }
     void send(Msg &&M) { Out = "send " + M.str(); }
     void setTimer(TimerId T, uint64_t Gen, uint64_t DelayUs) {
       Out = std::string("set-timer ") + timerName(T) + " gen=" + n(Gen) +
@@ -264,12 +268,14 @@ void RaftCore::installDurableState(Time NewTerm, std::optional<NodeId> Vote,
   Term = NewTerm;
   VotedFor = Vote;
   Log = std::move(NewLog);
+  reindexLog();
   // The durable commit record is advisory (it rides the next sync
   // batch), so it may lag what this replica already acked; never move
   // the commit index backwards, and never past the recovered log.
   CommitIndex = std::min(std::max(CommitIndex, DurableCommit), Log.size());
   Applied = std::min(Applied, CommitIndex);
   Dirty = false;
+  DirtyFrom = SIZE_MAX; // The store this came from already holds it.
 }
 
 Effects RaftCore::restart() {
@@ -306,24 +312,59 @@ Effects RaftCore::step(const Input &In, uint64_t NowUs) {
 // Configuration helpers
 //===----------------------------------------------------------------------===//
 
-Config RaftCore::configOfPrefix(size_t Len) const {
-  return raft::configOfPrefix(Log, Len, InitialConf);
+const Config &RaftCore::configOfPrefix(size_t Len) const {
+  auto It = std::upper_bound(
+      ConfHist.begin(), ConfHist.end(), Len,
+      [](size_t L, const std::pair<size_t, Config> &H) { return L < H.first; });
+  return It == ConfHist.begin() ? InitialConf : std::prev(It)->second;
 }
 
-Config RaftCore::config() const { return configOfPrefix(Log.size()); }
-
 bool RaftCore::logSatisfiesR2() const {
-  for (size_t I = CommitIndex; I != Log.size(); ++I)
-    if (Log[I].Kind == EntryKind::Reconfig)
-      return false;
-  return true;
+  // No Reconfig entry past the commit point.
+  return ConfHist.empty() || ConfHist.back().first <= CommitIndex;
 }
 
 bool RaftCore::logSatisfiesR3() const {
-  for (size_t I = CommitIndex; I > 0; --I)
-    if (Log[I - 1].Term == Term)
-      return true;
-  return false;
+  // Some committed entry carries the current term.
+  return TermStart != 0 && TermStart <= CommitIndex;
+}
+
+//===----------------------------------------------------------------------===//
+// Log mutation
+//===----------------------------------------------------------------------===//
+
+void RaftCore::appendEntry(LogEntry E) {
+  Log.push_back(std::move(E));
+  const LogEntry &Back = Log.back();
+  if (Back.Kind == EntryKind::Reconfig)
+    ConfHist.emplace_back(Log.size(), Back.Conf);
+  if (TermStart == 0 && Back.Term == Term)
+    TermStart = Log.size();
+  DirtyFrom = std::min(DirtyFrom, Log.size());
+  Dirty = true;
+}
+
+void RaftCore::truncateLog(size_t Len) {
+  assert(Len <= Log.size() && "truncating past the log");
+  Log.resize(Len);
+  while (!ConfHist.empty() && ConfHist.back().first > Len)
+    ConfHist.pop_back();
+  if (TermStart > Len)
+    TermStart = 0;
+  DirtyFrom = std::min(DirtyFrom, Len + 1);
+  Dirty = true;
+}
+
+void RaftCore::reindexLog() {
+  ConfHist.clear();
+  TermStart = 0;
+  for (size_t I = 1; I <= Log.size(); ++I) {
+    const LogEntry &E = Log[I - 1];
+    if (E.Kind == EntryKind::Reconfig)
+      ConfHist.emplace_back(I, E.Conf);
+    if (TermStart == 0 && E.Term == Term)
+      TermStart = I;
+  }
 }
 
 void RaftCore::updatePassivity() {
@@ -402,6 +443,7 @@ Effects RaftCore::onTimer(TimerId Timer, uint64_t Gen, uint64_t NowUs) {
 void RaftCore::stepDown(Time NewTerm, Effects &Out) {
   if (NewTerm > Term) {
     Term = NewTerm;
+    TermStart = 0;
     VotedFor.reset();
     Dirty = true;
   }
@@ -421,6 +463,7 @@ void RaftCore::startElection(bool Transfer, Effects &Out) {
   if (!Scheme->mbrs(Conf).contains(Id))
     return; // Non-members never stand (Def. C.2 validity).
   Term += 1;
+  TermStart = 0;
   MyRole = Role::Candidate;
   VotedFor = Id;
   Votes = NodeSet{Id};
@@ -594,11 +637,9 @@ void RaftCore::onAppendEntries(const Msg &M, uint64_t NowUs, Effects &Out) {
     if (Idx <= Log.size()) {
       if (Log[Idx - 1].Term == E.Term)
         continue; // Already have it.
-      Log.resize(Idx - 1); // Conflict: drop our suffix.
-      Dirty = true;
+      truncateLog(Idx - 1); // Conflict: drop our suffix.
     }
-    Log.push_back(E);
-    Dirty = true;
+    appendEntry(E);
   }
   updatePassivity();
   size_t NewCommit = std::min(M.LeaderCommit, Log.size());
@@ -725,16 +766,14 @@ void RaftCore::onInstallSnapshot(const Msg &M, uint64_t NowUs, Effects &Out) {
     return;
   }
   size_t Idx = 0;
-  for (const LogEntry &E : SnapLog) {
+  for (LogEntry &E : SnapLog) {
     ++Idx;
     if (Idx <= Log.size()) {
       if (Log[Idx - 1].Term == E.Term)
         continue; // Already have it.
-      Log.resize(Idx - 1); // Conflict: drop our suffix.
-      Dirty = true;
+      truncateLog(Idx - 1); // Conflict: drop our suffix.
     }
-    Log.push_back(E);
-    Dirty = true;
+    appendEntry(std::move(E));
   }
   updatePassivity();
   // Everything the snapshot covers was committed at the leader.
@@ -1142,8 +1181,7 @@ void RaftCore::onReadIndexReply(const Msg &M, uint64_t NowUs, Effects &Out) {
 //===----------------------------------------------------------------------===//
 
 void RaftCore::appendOwn(LogEntry Entry, Effects &Out) {
-  Log.push_back(std::move(Entry));
-  Dirty = true;
+  appendEntry(std::move(Entry));
   updatePassivity();
   broadcastAppends(Out);
   advanceCommit(Out); // Singleton configurations commit instantly.
@@ -1283,7 +1321,9 @@ void RaftCore::finishStep(Effects &Out) {
   if (!Dirty)
     return;
   Dirty = false;
-  Out.push_back(Effect::persist(Term, Log.size()));
+  Out.push_back(
+      Effect::persist(Term, Log.size(), std::min(DirtyFrom, Log.size() + 1)));
+  DirtyFrom = SIZE_MAX;
 }
 
 //===----------------------------------------------------------------------===//
@@ -1304,8 +1344,7 @@ bool RaftCore::submit(MethodId Method, uint64_t ClientSeq, Effects &Out) {
     // Any other broadcast — heartbeat, noop, reconfig, commit-advance —
     // flushes a partial batch first, bounding the added latency by one
     // heartbeat interval.
-    Log.push_back(std::move(E));
-    Dirty = true;
+    appendEntry(std::move(E));
     updatePassivity();
     if (++PendingBatch >= Opts.MaxAppendBatch) {
       broadcastAppends(Out); // Resets PendingBatch.

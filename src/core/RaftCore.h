@@ -52,6 +52,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -171,7 +172,9 @@ struct Effect {
                     ///< batch it unlocks).
     Persist,        ///< Durable state (term/vote/log) changed; a crash-
                     ///< tolerant host must flush before acting on any
-                    ///< *later* effect of this step.
+                    ///< *later* effect of this step. Index is the first
+                    ///< log slot changed since the previous Persist
+                    ///< (LogLen + 1 when only term/vote changed).
     LeaderElected,  ///< This replica won the election for Term.
     ReplicaSuspected, ///< Leader-observed liveness: Peer's missed-ack
                       ///< accumulator crossed the suspect threshold.
@@ -190,7 +193,7 @@ struct Effect {
   TimerId Timer = TimerId::Election; // SetTimer / CancelTimer.
   uint64_t TimerGen = 0; // SetTimer.
   uint64_t DelayUs = 0;  // SetTimer.
-  size_t Index = 0;      // Apply / CommitAdvanced.
+  size_t Index = 0;      // Apply / CommitAdvanced / Persist (dirty-from).
   LogEntry Entry;        // Apply.
   Time Term = 0;         // LeaderElected / Persist.
   size_t LogLen = 0;     // Persist.
@@ -202,7 +205,7 @@ struct Effect {
   static Effect cancelTimer(TimerId Timer);
   static Effect apply(size_t Index, LogEntry Entry);
   static Effect commitAdvanced(size_t Index);
-  static Effect persist(Time Term, size_t LogLen);
+  static Effect persist(Time Term, size_t LogLen, size_t DirtyFrom);
   static Effect leaderElected(Time Term);
   static Effect replicaSuspected(NodeId Peer);
   static Effect replicaRecovered(NodeId Peer);
@@ -434,8 +437,11 @@ public:
     return Log[Index1 - 1];
   }
   const std::vector<LogEntry> &log() const { return Log; }
-  /// The configuration currently in force (hot semantics).
-  Config config() const;
+  /// The configuration currently in force (hot semantics): the newest
+  /// Reconfig entry in the log, InitialConf if there is none. O(1).
+  const Config &config() const {
+    return ConfHist.empty() ? InitialConf : ConfHist.back().second;
+  }
   /// The leader this node last heard from (its redirect hint).
   std::optional<NodeId> leaderHint() const { return LeaderHint; }
   /// True once the node has observed its own committed removal and gone
@@ -446,8 +452,11 @@ public:
   /// Current timer generations (what a live SetTimer would carry).
   uint64_t electionGen() const { return ElectionGen; }
   uint64_t heartbeatGen() const { return HeartbeatGen; }
+  /// The configuration in force after the first \p Len entries: a
+  /// binary search of the configuration history.
+  const Config &configOfPrefix(size_t Len) const;
   /// Log-level reconfiguration guards, exposed for tests and the model
-  /// checker's invariants.
+  /// checker's invariants. O(1).
   bool logSatisfiesR2() const;
   bool logSatisfiesR3() const;
   const CoreOptions &options() const { return Opts; }
@@ -674,12 +683,19 @@ private:
   // Log helpers (1-based).
   Time lastLogTerm() const { return raft::lastLogTerm(Log); }
   size_t lastLogIndex() const { return Log.size(); }
-  Config configOfPrefix(size_t Len) const;
   void applyUpTo(size_t Index, Effects &Out);
   void updatePassivity();
 
   /// Appends the Persist effect if this step touched durable state.
   void finishStep(Effects &Out);
+
+  // Log mutation. Every change to Log goes through these, which keep the
+  // configuration history, the current term's start and the dirty-from
+  // mark in step with it.
+  void appendEntry(LogEntry E);
+  void truncateLog(size_t Len);
+  /// Rebuilds the derived log state from scratch (recovery).
+  void reindexLog();
 
   NodeId Id;
   const ReconfigScheme *Scheme;
@@ -827,6 +843,19 @@ private:
   uint64_t HeartbeatGen = 0;
   /// True while the current step has modified term/vote/log.
   bool Dirty = false;
+  /// First log index changed since the last Persist effect; SIZE_MAX
+  /// when the log is unchanged.
+  size_t DirtyFrom = SIZE_MAX;
+
+  //===--------------------------------------------------------------===//
+  // Derived log state (a function of Log and Term, so not fingerprinted)
+  //===--------------------------------------------------------------===//
+
+  /// (index, configuration) of every Reconfig entry, in log order.
+  std::vector<std::pair<size_t, Config>> ConfHist;
+  /// Index of the first entry of the current term; 0 if the log holds
+  /// none. Log terms never exceed Term, so a new term starts at 0.
+  size_t TermStart = 0;
 };
 
 } // namespace core

@@ -446,7 +446,7 @@ private:
       const CoreNetModel &M;
       State &St;
       size_t I;
-      void persist() {}
+      void persist(size_t) {}
       void send(core::Msg &&Out) {
         if (St.Pending.size() < M.Opts.MaxPending)
           St.Pending.push_back(std::move(Out));

@@ -210,7 +210,8 @@ RecoveredState NodeStore::open() {
 
   MirrorTerm = RS.Term;
   MirrorVote = RS.Vote;
-  MirrorLog = RS.Log;
+  MirrorLogLen = RS.Log.size();
+  SnapLog = nullptr;
   MirrorCommit = RS.CommitIndex;
   UnsyncedRecords = 0;
   WalBytesSinceSnapshot = 0;
@@ -276,29 +277,25 @@ bool NodeStore::appendRecord(const std::string &Payload) {
   return true;
 }
 
-bool NodeStore::persistFrom(const core::RaftCore &Core) {
-  return persistState(Core.term(), Core.votedFor(), Core.log());
+bool NodeStore::persistFrom(const core::RaftCore &Core, size_t DirtyFrom) {
+  return persistState(Core.term(), Core.votedFor(), Core.log(), DirtyFrom);
 }
 
 bool NodeStore::persistState(Time Term, std::optional<NodeId> Vote,
-                             const std::vector<core::LogEntry> &Log) {
+                             const std::vector<core::LogEntry> &Log,
+                             size_t DirtyFrom) {
   assert(Open && "persist on a closed store");
+  assert(DirtyFrom >= 1 && "log slots are 1-based");
   bool Ok = true;
 
-  // Longest common log prefix against the mirror.
-  size_t Common = 0;
-  size_t Limit = std::min(MirrorLog.size(), Log.size());
-  while (Common < Limit && MirrorLog[Common] == Log[Common])
-    ++Common;
-
-  if (MirrorLog.size() > Common) {
+  // The slots below the dirty mark are the ones the store already holds.
+  size_t Common = std::min({DirtyFrom - 1, MirrorLogLen, Log.size()});
+  if (MirrorLogLen > Common)
     Ok = appendRecord(payloadTruncate(Common)) && Ok;
-    MirrorLog.resize(Common);
-  }
-  for (size_t I = Common; I < Log.size(); ++I) {
+  for (size_t I = Common; I < Log.size(); ++I)
     Ok = appendRecord(payloadAppend(I + 1, Log[I])) && Ok;
-    MirrorLog.push_back(Log[I]);
-  }
+  MirrorLogLen = Log.size();
+  SnapLog = &Log;
   if (Term != MirrorTerm || Vote != MirrorVote) {
     Ok = appendRecord(payloadTermVote(Term, Vote)) && Ok;
     MirrorTerm = Term;
@@ -317,6 +314,8 @@ void NodeStore::noteCommit(size_t Index) {
 
 bool NodeStore::sync() {
   assert(Open && "sync on a closed store");
+  const std::vector<core::LogEntry> *Log = SnapLog;
+  SnapLog = nullptr;
   if (UnsyncedRecords == 0)
     return true;
   if (!V.sync(segPath(CurSeq)))
@@ -326,9 +325,11 @@ bool NodeStore::sync() {
   UnsyncedRecords = 0;
 
   // Housekeeping happens only at sync boundaries, so a rotation or
-  // snapshot never splits an un-fsynced batch across files.
-  if (WalBytesSinceSnapshot >= Opts.SnapshotEveryBytes)
-    return takeSnapshot();
+  // snapshot never splits an un-fsynced batch across files. A snapshot
+  // needs the log, so a sync without a persist call since the last one
+  // leaves it to the next sync that has one.
+  if (Log && WalBytesSinceSnapshot >= Opts.SnapshotEveryBytes)
+    return takeSnapshot(*Log);
   if (V.fileSize(segPath(CurSeq)) >= Opts.SegmentBytes)
     return rotateSegment();
   return true;
@@ -350,9 +351,9 @@ bool NodeStore::rotateSegment() {
   return true;
 }
 
-bool NodeStore::takeSnapshot() {
-  // Checkpoint the mirror (everything below is already fsynced — this
-  // runs right after the sync barrier), install it atomically via
+bool NodeStore::takeSnapshot(const std::vector<core::LogEntry> &Log) {
+  // Checkpoint the durable state (everything below is already fsynced —
+  // this runs right after the sync barrier), install it atomically via
   // tmp-write + rename, start a fresh segment at the same sequence
   // number, then drop the history both now cover. Order matters: the
   // snapshot must be durable under its final name before any segment it
@@ -360,8 +361,8 @@ bool NodeStore::takeSnapshot() {
   uint64_t Next = CurSeq + 1;
   std::string Tmp = Dir + "/snap.tmp";
   V.removeFile(Tmp);
-  std::string Bytes =
-      encodeSnapshot(MirrorTerm, MirrorVote, MirrorCommit, MirrorLog);
+  assert(Log.size() == MirrorLogLen && "snapshot of an unpersisted log");
+  std::string Bytes = encodeSnapshot(MirrorTerm, MirrorVote, MirrorCommit, Log);
   if (!V.append(Tmp, Bytes) || !V.sync(Tmp) ||
       !V.renameFile(Tmp, snapPath(Next)))
     return false;
@@ -393,7 +394,8 @@ void NodeStore::crash() {
     CrashHook();
   Open = false;
   UnsyncedRecords = 0;
-  MirrorLog.clear();
+  MirrorLogLen = 0;
+  SnapLog = nullptr;
   MirrorTerm = 0;
   MirrorVote.reset();
   MirrorCommit = 0;

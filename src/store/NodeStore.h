@@ -10,17 +10,19 @@
 /// recovery path that rebuilds the durable fields of a core::RaftCore
 /// from snapshot + replay, truncating (never loading) corrupt tails.
 ///
-/// The write path is diff-based and group-committed: persistState()
-/// compares the core's term/vote/log against an in-memory mirror of
-/// what the WAL already holds and appends only the difference (a
-/// Truncate for a conflict-suffix drop, Appends for new slots, a
-/// TermVote when either changed); records land in the file immediately
+/// The write path is incremental and group-committed: the core reports
+/// the first log slot it changed since its last Persist effect (the
+/// dirty-from index), and persistState() appends only what changed from
+/// there (a Truncate when a conflict dropped durable slots, Appends for
+/// the new ones, a TermVote when either changed), so its cost does not
+/// depend on the log's length. Records land in the file immediately
 /// but are not durable until sync(), which issues ONE fsync for the
 /// whole batch — including any Commit records that rode along — and is
-/// where segment rotation and snapshot compaction happen.
+/// where segment rotation and snapshot compaction happen. A snapshot
+/// encodes the log passed to the persist call that preceded the sync.
 ///
-/// Hosts call persistFrom(core)+sync() before acting on any effect of a
-/// batch that carries a Persist effect (persist-before-act), call
+/// Hosts call persistFrom(core, dirty-from)+sync() before acting on any
+/// effect of a batch that carries a Persist effect (persist-before-act), call
 /// noteCommit() on CommitAdvanced (deferred: rides the next sync), and
 /// at start and restart call recoverInto(), which opens the store and
 /// installs what it recovered into the core.
@@ -114,13 +116,17 @@ public:
   std::vector<std::string> recoverInto(core::RaftCore &Core,
                                        bool CheckAgainstCore);
 
-  /// Diffs the core's durable fields against the WAL mirror and appends
-  /// the delta (unsynced). Returns false on I/O error.
-  bool persistFrom(const core::RaftCore &Core);
+  /// Appends the core's durable fields changed since the last persist
+  /// (unsynced): log slots from \p DirtyFrom (1-based, the lowest index
+  /// of the batch's Persist effects) and term/vote if they differ.
+  /// Returns false on I/O error.
+  bool persistFrom(const core::RaftCore &Core, size_t DirtyFrom);
 
-  /// Lower-level form of persistFrom for arbitrary states (tests).
+  /// Lower-level form of persistFrom for arbitrary states (tests). Slots
+  /// below \p DirtyFrom must equal what the store holds. \p Log must stay
+  /// alive and unchanged until the next sync(), which may snapshot it.
   bool persistState(Time Term, std::optional<NodeId> Vote,
-                    const std::vector<core::LogEntry> &Log);
+                    const std::vector<core::LogEntry> &Log, size_t DirtyFrom);
 
   /// Records a commit-index advance (unsynced; rides the next sync()).
   void noteCommit(size_t Index);
@@ -148,7 +154,7 @@ private:
   std::string snapPath(uint64_t Seq) const;
   bool appendRecord(const std::string &Payload);
   bool createSegment(uint64_t Seq);
-  bool takeSnapshot();
+  bool takeSnapshot(const std::vector<core::LogEntry> &Log);
   bool rotateSegment();
 
   Vfs &V;
@@ -163,11 +169,13 @@ private:
   /// WAL bytes laid down since the last snapshot (compaction trigger).
   uint64_t WalBytesSinceSnapshot = 0;
 
-  // Mirror of what the WAL+snapshot durably encode, for diffing.
+  // What the WAL+snapshot encode: term, vote, log length and commit.
   Time MirrorTerm = 0;
   std::optional<NodeId> MirrorVote;
-  std::vector<core::LogEntry> MirrorLog;
+  size_t MirrorLogLen = 0;
   size_t MirrorCommit = 0;
+  /// The log passed to the last persist call, until the next sync().
+  const std::vector<core::LogEntry> *SnapLog = nullptr;
 
   StoreStats Stats;
 };

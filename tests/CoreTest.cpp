@@ -950,6 +950,207 @@ TEST(SnapshotTest, PayloadCodecRejectsTruncationAndGarbage) {
 }
 
 //===----------------------------------------------------------------------===//
+// Configuration index: config(), configOfPrefix() and the R2/R3 guards
+// read derived state the core keeps beside the log. These check it
+// against the definitions (the shared raft::configOfPrefix and linear
+// scans of the log) after every step of random mutation sequences.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+bool scanR2(const RaftCore &C) {
+  for (size_t I = C.commitIndex(); I != C.logSize(); ++I)
+    if (C.log()[I].Kind == raft::EntryKind::Reconfig)
+      return false;
+  return true;
+}
+
+bool scanR3(const RaftCore &C) {
+  for (size_t I = C.commitIndex(); I > 0; --I)
+    if (C.log()[I - 1].Term == C.term())
+      return true;
+  return false;
+}
+
+/// Random log mutations through the core's public inputs only: leader
+/// appends and reconfigs, follower appends (with conflicting
+/// truncation), chunked-snapshot installs, and crash-time
+/// installDurableState. Every generated state is one Raft can reach:
+/// entry terms never decrease along the log nor exceed the sender's
+/// term, and committed slots are never rewritten.
+struct LogFuzzer {
+  CoreHarness H;
+  RaftCore C;
+  Rng R;
+  std::vector<Config> Confs{Config(NodeSet{1, 2, 3}), Config(NodeSet{1, 2}),
+                            Config(NodeSet{1, 2, 3, 4}),
+                            Config(NodeSet{2, 3}), Config(NodeSet{1, 3})};
+
+  explicit LogFuzzer(uint64_t Seed) : C(H.make(1, Seed)), R(Seed) {
+    C.start();
+  }
+
+  Time termAt(size_t Index) const {
+    return Index == 0 ? 0 : C.log()[Index - 1].Term;
+  }
+
+  /// A sender's term: a rival leader must be in a later term.
+  Time senderTerm() {
+    return C.term() + (C.role() == Role::Follower ? R.nextBelow(2) : 1);
+  }
+
+  /// \p Count entries following slot \p After, with terms in
+  /// [termAt(After), MaxTerm], non-decreasing.
+  std::vector<LogEntry> entries(size_t After, size_t Count, Time MaxTerm) {
+    std::vector<LogEntry> Out;
+    Time T = termAt(After);
+    for (size_t I = 0; I != Count; ++I) {
+      if (T < MaxTerm && R.nextChance(1, 3))
+        T = R.nextInRange(T + 1, MaxTerm);
+      LogEntry E;
+      E.Term = T;
+      E.Method = R.nextBelow(100);
+      if (R.nextChance(1, 4)) {
+        E.Kind = raft::EntryKind::Reconfig;
+        E.Conf = R.pick(Confs);
+      }
+      Out.push_back(E);
+    }
+    return Out;
+  }
+
+  void followerAppend() {
+    Msg M;
+    M.K = Msg::Kind::AppendEntries;
+    M.From = 2;
+    M.To = 1;
+    M.Term = senderTerm();
+    M.PrevIndex = R.nextInRange(C.commitIndex(), C.logSize());
+    M.PrevTerm = termAt(M.PrevIndex);
+    M.Entries = entries(M.PrevIndex, R.nextBelow(5), M.Term);
+    M.LeaderCommit = R.nextInRange(0, M.PrevIndex + M.Entries.size());
+    C.onMessage(M, /*Now=*/0);
+  }
+
+  void snapshotInstall() {
+    std::vector<LogEntry> Snap(
+        C.log().begin(),
+        C.log().begin() + R.nextInRange(C.commitIndex(), C.logSize()));
+    Time Term = senderTerm();
+    std::vector<LogEntry> More =
+        entries(Snap.size(), R.nextInRange(1, 4), Term);
+    Snap.insert(Snap.end(), More.begin(), More.end());
+    Msg M;
+    M.K = Msg::Kind::InstallSnapshot;
+    M.From = 2;
+    M.To = 1;
+    M.Term = Term;
+    M.SnapIndex = Snap.size();
+    M.SnapTerm = Snap.back().Term;
+    M.Chunk = codec::encodeSnapshotPayload(Snap, Snap.size());
+    M.Done = true;
+    C.onMessage(M, /*Now=*/0);
+  }
+
+  void recover() {
+    C.crash();
+    size_t Keep = R.nextInRange(C.commitIndex(), C.logSize());
+    std::vector<LogEntry> Log(C.log().begin(), C.log().begin() + Keep);
+    std::vector<LogEntry> More = entries(Keep, R.nextBelow(3), C.term());
+    Log.insert(Log.end(), More.begin(), More.end());
+    C.installDurableState(C.term(), std::nullopt, Log,
+                          R.nextBelow(Log.size() + 1));
+    C.restart();
+  }
+
+  void leaderWork() {
+    if (!C.isLeader()) {
+      C.onTimer(TimerId::Election, C.electionGen(), /*Now=*/0);
+      if (C.role() != Role::Candidate)
+        return;
+      Msg Grant;
+      Grant.K = Msg::Kind::VoteReply;
+      Grant.From = 2;
+      Grant.To = 1;
+      Grant.Term = C.term();
+      Grant.Granted = true;
+      C.onMessage(Grant, /*Now=*/0);
+      if (!C.isLeader())
+        return;
+    }
+    Effects Out;
+    if (R.nextChance(1, 3))
+      C.requestReconfig(R.pick(Confs), Out);
+    else
+      C.submit(R.nextBelow(100), 0, Out);
+    if (R.nextChance(1, 2))
+      C.onMessage(appendAckFor(C.logSize()), /*Now=*/0);
+  }
+
+  Msg appendAckFor(size_t Match) const {
+    Msg M;
+    M.K = Msg::Kind::AppendReply;
+    M.From = 2;
+    M.To = 1;
+    M.Term = C.term();
+    M.Success = true;
+    M.MatchIndex = Match;
+    return M;
+  }
+
+  void step() {
+    switch (R.nextBelow(8)) {
+    case 0:
+    case 1:
+    case 2:
+      followerAppend();
+      break;
+    case 3:
+      snapshotInstall();
+      break;
+    case 4:
+      recover();
+      break;
+    default:
+      leaderWork();
+      break;
+    }
+  }
+};
+
+} // namespace
+
+TEST(ConfigIndexTest, MatchesLogScansUnderRandomMutation) {
+  size_t Reconfigs = 0, R2Fails = 0, R3Holds = 0;
+  for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
+    LogFuzzer F(Seed);
+    for (size_t Step = 0; Step != 150; ++Step) {
+      F.step();
+      const RaftCore &C = F.C;
+      ASSERT_LE(C.commitIndex(), C.logSize());
+      for (size_t Len = 0; Len <= C.logSize(); ++Len)
+        ASSERT_EQ(C.configOfPrefix(Len),
+                  raft::configOfPrefix(C.log(), Len, F.H.Conf))
+            << "seed " << Seed << " step " << Step << " prefix " << Len;
+      ASSERT_EQ(C.config(),
+                raft::configOfPrefix(C.log(), C.logSize(), F.H.Conf));
+      ASSERT_EQ(C.logSatisfiesR2(), scanR2(C))
+          << "seed " << Seed << " step " << Step;
+      ASSERT_EQ(C.logSatisfiesR3(), scanR3(C))
+          << "seed " << Seed << " step " << Step;
+      Reconfigs += C.logSize() && C.log().back().Kind ==
+                                      raft::EntryKind::Reconfig;
+      R2Fails += !C.logSatisfiesR2();
+      R3Holds += C.logSatisfiesR3();
+    }
+  }
+  // The sequences really exercised both outcomes of each guard.
+  EXPECT_GT(Reconfigs, 100u);
+  EXPECT_GT(R2Fails, 100u);
+  EXPECT_GT(R3Holds, 100u);
+}
+
+//===----------------------------------------------------------------------===//
 // Replication hot path: MaxAppendBatch coalescing and the
 // PipelineWindow in-flight window (defaults keep the legacy
 // stop-and-wait schedule; these tests turn the knobs on)
@@ -1305,7 +1506,9 @@ namespace {
 struct RecordingHost {
   std::vector<std::string> Calls;
 
-  void persist() { Calls.push_back("persist"); }
+  void persist(size_t DirtyFrom) {
+    Calls.push_back("persist from " + std::to_string(DirtyFrom));
+  }
   void send(Msg &&M) { Calls.push_back("send to " + std::to_string(M.To)); }
   void setTimer(TimerId T, uint64_t Gen, uint64_t DelayUs) {
     Calls.push_back("set-timer " + std::to_string(int(T)) + " gen " +
@@ -1352,11 +1555,12 @@ TEST(HostTest, PersistRunsOnceBeforeTheEffectsItGates) {
   // state durable before the Send that announces it escapes.
   Effects Effs{Effect::send(msgTo(2)),
                Effect::setTimer(TimerId::Heartbeat, 5, 50),
-               Effect::persist(/*Term=*/3, /*LogLen=*/1),
-               Effect::persist(/*Term=*/3, /*LogLen=*/2)};
+               Effect::persist(/*Term=*/3, /*LogLen=*/2, /*DirtyFrom=*/2),
+               Effect::persist(/*Term=*/3, /*LogLen=*/2, /*DirtyFrom=*/1)};
   RecordingHost H;
   dispatchEffects(Effs, H);
-  EXPECT_EQ(H.Calls, (std::vector<std::string>{"persist", "send to 2",
+  // One persist, from the lowest dirty index of the batch's steps.
+  EXPECT_EQ(H.Calls, (std::vector<std::string>{"persist from 1", "send to 2",
                                                "set-timer 1 gen 5 after 50"}));
 }
 
@@ -1380,7 +1584,7 @@ TEST(HostTest, EveryEffectKindReachesItsOwnHook) {
                Effect::cancelTimer(TimerId::Heartbeat),
                Effect::apply(4, E),
                Effect::commitAdvanced(4),
-               Effect::persist(/*Term=*/2, /*LogLen=*/4),
+               Effect::persist(/*Term=*/2, /*LogLen=*/4, /*DirtyFrom=*/4),
                Effect::leaderElected(2),
                Effect::replicaSuspected(3),
                Effect::replicaRecovered(3),
@@ -1394,7 +1598,7 @@ TEST(HostTest, EveryEffectKindReachesItsOwnHook) {
   dispatchEffects(Effs, H);
   EXPECT_EQ(H.Calls,
             (std::vector<std::string>{
-                "persist", "send to 2", "set-timer 0 gen 1 after 150",
+                "persist from 4", "send to 2", "set-timer 0 gen 1 after 150",
                 "cancel-timer 1", "apply 4 method 77", "commit 4", "leader 2",
                 "suspected 3", "recovered 3", "read-ready 9 at 4",
                 "read-failed 10"}));

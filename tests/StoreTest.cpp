@@ -16,6 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "chaos/ChaosRun.h"
+#include "core/Host.h"
 #include "rt/RtCluster.h"
 #include "store/NodeStore.h"
 #include "store/Vfs.h"
@@ -204,8 +205,8 @@ TEST(PosixVfsTest, StoreRecoversFromRealDisk) {
     PosixVfs V(Root);
     NodeStore S(V, "n1");
     ASSERT_FALSE(S.open().Error.has_value());
-    ASSERT_TRUE(S.persistState(3, NodeId(2),
-                               {makeEntry(3, 10, 1), makeEntry(3, 11, 2)}));
+    std::vector<core::LogEntry> Log{makeEntry(3, 10, 1), makeEntry(3, 11, 2)};
+    ASSERT_TRUE(S.persistState(3, NodeId(2), Log, /*DirtyFrom=*/1));
     S.noteCommit(1);
     ASSERT_TRUE(S.sync());
   }
@@ -456,9 +457,9 @@ TEST(NodeStoreTest, PersistRecoverRoundTrip) {
   {
     NodeStore S(V, "n1");
     ASSERT_FALSE(S.open().Error.has_value());
-    ASSERT_TRUE(S.persistState(
-        7, NodeId(3),
-        {makeEntry(5, 1, 1), makeEntry(6, 2, 2), makeEntry(7, 3, 3)}));
+    std::vector<core::LogEntry> Log{makeEntry(5, 1, 1), makeEntry(6, 2, 2),
+                                    makeEntry(7, 3, 3)};
+    ASSERT_TRUE(S.persistState(7, NodeId(3), Log, /*DirtyFrom=*/1));
     S.noteCommit(2);
     ASSERT_TRUE(S.sync());
     EXPECT_EQ(S.stats().Syncs, 1u);
@@ -480,16 +481,16 @@ TEST(NodeStoreTest, DiffPersistenceEmitsTruncateForConflictSuffix) {
   MemVfs V(1);
   NodeStore S(V, "n1");
   ASSERT_FALSE(S.open().Error.has_value());
-  ASSERT_TRUE(S.persistState(
-      2, std::nullopt,
-      {makeEntry(1, 1, 1), makeEntry(1, 2, 2), makeEntry(1, 3, 3)}));
+  std::vector<core::LogEntry> Log{makeEntry(1, 1, 1), makeEntry(1, 2, 2),
+                                  makeEntry(1, 3, 3)};
+  ASSERT_TRUE(S.persistState(2, std::nullopt, Log, /*DirtyFrom=*/1));
   ASSERT_TRUE(S.sync());
   // New leader's log conflicts from slot 2 onward.
-  ASSERT_TRUE(
-      S.persistState(3, NodeId(2), {makeEntry(1, 1, 1), makeEntry(3, 9, 9)}));
+  Log = {makeEntry(1, 1, 1), makeEntry(3, 9, 9)};
+  ASSERT_TRUE(S.persistState(3, NodeId(2), Log, /*DirtyFrom=*/2));
   ASSERT_TRUE(S.sync());
 
-  // The raw WAL must contain the Truncate record (diffing worked)...
+  // The raw WAL must contain the Truncate record (the dirty mark worked)...
   std::string Bytes;
   ASSERT_TRUE(V.readFile("n1/" + segmentName(1), Bytes));
   SegmentScan Scan = scanSegment(Bytes);
@@ -519,7 +520,7 @@ TEST(NodeStoreTest, TornTailAtEveryOffsetRecoversAPrefixAndTruncates) {
   {
     NodeStore S(Golden, "n1");
     ASSERT_FALSE(S.open().Error.has_value());
-    ASSERT_TRUE(S.persistState(2, NodeId(1), Log));
+    ASSERT_TRUE(S.persistState(2, NodeId(1), Log, /*DirtyFrom=*/1));
     ASSERT_TRUE(S.sync());
   }
   std::string Path = "n1/" + segmentName(1);
@@ -554,7 +555,7 @@ TEST(NodeStoreTest, BitFlippedTailIsDetectedAndCutNeverLoaded) {
   {
     NodeStore S(V, "n1");
     ASSERT_FALSE(S.open().Error.has_value());
-    ASSERT_TRUE(S.persistState(2, NodeId(1), Log));
+    ASSERT_TRUE(S.persistState(2, NodeId(1), Log, /*DirtyFrom=*/1));
     ASSERT_TRUE(S.sync());
   }
   std::string Path = "n1/" + segmentName(1);
@@ -590,7 +591,7 @@ TEST(NodeStoreTest, SegmentRotationSpansRecovery) {
     ASSERT_FALSE(S.open().Error.has_value());
     for (uint64_t I = 1; I <= 40; ++I) {
       Log.push_back(makeEntry(2, I, I));
-      ASSERT_TRUE(S.persistState(2, NodeId(1), Log));
+      ASSERT_TRUE(S.persistState(2, NodeId(1), Log, /*DirtyFrom=*/I));
       ASSERT_TRUE(S.sync());
     }
     EXPECT_GT(S.segmentSeq(), 2u);
@@ -617,7 +618,7 @@ TEST(NodeStoreTest, SnapshotCompactsThePrefixAndRecoveryUsesIt) {
     ASSERT_FALSE(S.open().Error.has_value());
     for (uint64_t I = 1; I <= 60; ++I) {
       Log.push_back(makeEntry(2, I, I));
-      ASSERT_TRUE(S.persistState(2, NodeId(1), Log));
+      ASSERT_TRUE(S.persistState(2, NodeId(1), Log, /*DirtyFrom=*/I));
       S.noteCommit(I / 2);
       ASSERT_TRUE(S.sync());
     }
@@ -647,7 +648,7 @@ TEST(NodeStoreTest, CorruptSnapshotWithCompactedWalRefusesToGuess) {
     std::vector<core::LogEntry> Log;
     for (uint64_t I = 1; I <= 60; ++I) {
       Log.push_back(makeEntry(2, I, I));
-      ASSERT_TRUE(S.persistState(2, NodeId(1), Log));
+      ASSERT_TRUE(S.persistState(2, NodeId(1), Log, /*DirtyFrom=*/I));
       ASSERT_TRUE(S.sync());
     }
     ASSERT_GT(S.stats().Snapshots, 0u);
@@ -671,11 +672,12 @@ TEST(NodeStoreTest, CrashDropsUnsyncedRecordsOnly) {
   NodeStore S(V, "n1");
   S.setCrashHook([&V] { V.crashDir("n1/"); });
   ASSERT_FALSE(S.open().Error.has_value());
-  ASSERT_TRUE(S.persistState(2, NodeId(1), {makeEntry(2, 1, 1)}));
+  std::vector<core::LogEntry> Log{makeEntry(2, 1, 1)};
+  ASSERT_TRUE(S.persistState(2, NodeId(1), Log, /*DirtyFrom=*/1));
   ASSERT_TRUE(S.sync());
   // The second batch is appended but never synced; the crash eats it.
-  ASSERT_TRUE(
-      S.persistState(2, NodeId(1), {makeEntry(2, 1, 1), makeEntry(2, 2, 2)}));
+  Log.push_back(makeEntry(2, 2, 2));
+  ASSERT_TRUE(S.persistState(2, NodeId(1), Log, /*DirtyFrom=*/2));
   S.crash();
   EXPECT_FALSE(S.isOpen());
   RecoveredState RS = S.open();
@@ -721,7 +723,7 @@ TEST(StoreCoreTest, PersistFromCoreRoundTripsThroughRecovery) {
   core::Effects Out;
   ASSERT_TRUE(Core.submit(41, 1, Out));
   ASSERT_TRUE(Core.submit(42, 2, Out));
-  ASSERT_TRUE(S.persistFrom(Core));
+  ASSERT_TRUE(S.persistFrom(Core, /*DirtyFrom=*/1));
   S.noteCommit(Core.commitIndex());
   ASSERT_TRUE(S.sync());
 
@@ -739,6 +741,124 @@ TEST(StoreCoreTest, PersistFromCoreRoundTripsThroughRecovery) {
   Fresh.installDurableState(RS.Term, RS.Vote, RS.Log, RS.CommitIndex);
   EXPECT_EQ(Fresh.term(), Core.term());
   EXPECT_EQ(Fresh.logSize(), Core.logSize());
+}
+
+namespace {
+
+/// The WAL bytes the store wrote before it took a dirty-from index: it
+/// kept a full mirror of the durable log and diffed every persist
+/// against it (longest common prefix, Truncate if the mirror ran past
+/// it, Appends from it, TermVote on change). The store must still
+/// write exactly these bytes.
+struct MirrorDiffWriter {
+  std::string Bytes = segmentHeader(1);
+  Time Term = 0;
+  std::optional<NodeId> Vote;
+  std::vector<core::LogEntry> Log;
+  size_t Commit = 0;
+
+  void persist(const core::RaftCore &Core) {
+    const std::vector<core::LogEntry> &New = Core.log();
+    size_t Common = 0;
+    while (Common < std::min(Log.size(), New.size()) &&
+           Log[Common] == New[Common])
+      ++Common;
+    if (Log.size() > Common)
+      frameRecord(Bytes, payloadTruncate(Common));
+    for (size_t I = Common; I < New.size(); ++I)
+      frameRecord(Bytes, payloadAppend(I + 1, New[I]));
+    Log = New;
+    if (Core.term() != Term || Core.votedFor() != Vote) {
+      frameRecord(Bytes, payloadTermVote(Core.term(), Core.votedFor()));
+      Term = Core.term();
+      Vote = Core.votedFor();
+    }
+  }
+  void noteCommit(size_t Index) {
+    if (Index > Commit)
+      frameRecord(Bytes, payloadCommit(Commit = Index));
+  }
+};
+
+/// Persists through the shipping host path and the mirror-diff writer
+/// side by side.
+struct DualHost : core::HostBase<NodeStore> {
+  MirrorDiffWriter &Ref;
+  void persist(size_t DirtyFrom) const {
+    HostBase::persist(DirtyFrom);
+    Ref.persist(Core);
+  }
+  void commitAdvanced(size_t Index) const {
+    HostBase::commitAdvanced(Index);
+    Ref.noteCommit(Index);
+  }
+  void send(core::Msg &&) const {}
+  void setTimer(core::TimerId, uint64_t, uint64_t) const {}
+  void cancelTimer(core::TimerId) const {}
+};
+
+core::Msg appendFrom(NodeId Leader, Time Term, size_t PrevIndex, Time PrevTerm,
+                     std::vector<core::LogEntry> Entries, size_t Commit) {
+  core::Msg M;
+  M.K = core::Msg::Kind::AppendEntries;
+  M.From = Leader;
+  M.To = 1;
+  M.Term = Term;
+  M.PrevIndex = PrevIndex;
+  M.PrevTerm = PrevTerm;
+  M.Entries = std::move(Entries);
+  M.LeaderCommit = Commit;
+  return M;
+}
+
+} // namespace
+
+TEST(StoreCoreTest, SameLengthConflictWritesTheMirrorDiffBytes) {
+  // A follower's uncommitted suffix is overwritten by a new leader's
+  // entries of the same length: the core's dirty-from index must make
+  // the store write the Truncate and the Appends the mirror diff wrote,
+  // byte for byte, and recovery must rebuild the core's log.
+  std::unique_ptr<ReconfigScheme> Scheme = makeScheme(SchemeKind::RaftSingleNode);
+  core::RaftCore Core(1, *Scheme, Config(NodeSet{1, 2, 3}),
+                      core::CoreOptions(), 5);
+  MemVfs V(1);
+  NodeStore S(V, "n1");
+  ASSERT_FALSE(S.open().Error.has_value());
+  core::HostHooks Hooks;
+  MirrorDiffWriter Ref;
+  DualHost H{{Core, Hooks, &S}, Ref};
+  auto Feed = [&](const core::Msg &M) {
+    core::Effects Effs = Core.onMessage(M, /*NowUs=*/0);
+    core::dispatchEffects(Effs, H);
+  };
+
+  Core.start();
+  Feed(appendFrom(2, 1, 0, 0,
+                  {makeEntry(1, 1, 1), makeEntry(1, 2, 2), makeEntry(1, 3, 3)},
+                  1));
+  // Leader 3 of term 2 rewrites slots 2..3; the log keeps its length.
+  Feed(appendFrom(3, 2, 1, 1, {makeEntry(2, 8, 8), makeEntry(2, 9, 9)}, 1));
+  ASSERT_EQ(Core.logSize(), 3u);
+  EXPECT_EQ(Core.log()[2].Method, 9u);
+  // A later rewrite that also grows the log, then a pure append.
+  Feed(appendFrom(2, 3, 2, 2, {makeEntry(3, 4, 4), makeEntry(3, 5, 5)}, 2));
+  Feed(appendFrom(2, 3, 4, 3, {makeEntry(3, 6, 6)}, 4));
+  ASSERT_EQ(Core.logSize(), 5u);
+
+  std::string Bytes;
+  ASSERT_TRUE(V.readFile("n1/" + segmentName(1), Bytes));
+  EXPECT_EQ(Bytes, Ref.Bytes);
+  size_t Truncates = 0;
+  for (const WalRecord &R : scanSegment(Bytes).Records)
+    Truncates += R.Type == RecordType::Truncate;
+  EXPECT_EQ(Truncates, 2u);
+
+  std::vector<core::LogEntry> Before = Core.log();
+  Core.crash();
+  S.crash();
+  EXPECT_TRUE(S.recoverInto(Core, /*CheckAgainstCore=*/true).empty());
+  EXPECT_EQ(Core.log(), Before);
+  EXPECT_EQ(Core.term(), 3u);
 }
 
 //===----------------------------------------------------------------------===//

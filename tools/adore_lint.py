@@ -43,6 +43,11 @@ Rules (ids are stable; fixtures assert each one fires):
                     hosts plug into the one dispatcher there instead of
                     copying the effect switch (and its persist-before-act
                     pre-pass).
+  config-scan       a core/ file calls raft::configOfPrefix (or imports it
+                    unqualified): that helper scans the log backwards, and
+                    the core reads configurations from its configuration
+                    history instead, so per-op cost stays independent of
+                    log length.
 
 Seams: files listed in ALLOWLIST are deliberate owners of otherwise
 banned machinery (the parallel exploration driver owns threads and the
@@ -141,6 +146,12 @@ PROTOCOL_ENUM_CASE_RE = re.compile(
 # model checker dispatch through.
 EFFECT_CASE_RE = re.compile(r"\bcase\s+[\w:]*\bEffect::Kind::")
 EFFECT_DISPATCHER = "core/Host.h"
+
+# The backwards log scan the core must not run, and the using-directives
+# that would let it be called unqualified.
+CONFIG_SCAN_RE = re.compile(
+    r"\b(?:adore\s*::\s*)?raft\s*::\s*configOfPrefix\b|"
+    r"\busing\s+namespace\s+(?:adore\s*::\s*)?raft\b")
 
 # (relative path under src/) -> set of rule ids the file may violate.
 # Every entry is a reviewed architectural seam; add a justification.
@@ -473,6 +484,18 @@ def check_effect_dispatch(src, findings):
                 % EFFECT_DISPATCHER))
 
 
+def check_config_scan(src, findings):
+    if src.layer != "core":
+        return
+    for m in CONFIG_SCAN_RE.finditer(src.stripped):
+        line = src.stripped.count("\n", 0, m.start()) + 1
+        findings.append(Finding(
+            "config-scan", src.rel, line,
+            "core/ reaches raft::configOfPrefix, a backwards log scan; "
+            "read RaftCore's configuration history (config(), "
+            "configOfPrefix()) instead"))
+
+
 # --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
@@ -488,6 +511,7 @@ def lint(files):
         check_codec_discipline(src, files, findings)
         check_enum_switch_default(src, findings)
         check_effect_dispatch(src, findings)
+        check_config_scan(src, findings)
     return findings
 
 
@@ -557,7 +581,7 @@ def run_self_test(args):
     rules_fired = {r for r, _ in actual}
     all_rules = {"layering", "purity-include", "purity-token",
                  "decode-cast", "codec-discipline", "enum-switch-default",
-                 "effect-dispatch"}
+                 "effect-dispatch", "config-scan"}
     for rule in sorted(all_rules - rules_fired):
         print("self-test: no fixture exercises rule [%s]" % rule)
         ok = False
