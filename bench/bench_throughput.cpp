@@ -18,8 +18,8 @@
 //                 PipelineWindow in-flight window, and the host's inbox
 //                 batch draining (one WAL fsync per burst) actually pay.
 //
-// Every (transport, mode) cell runs twice: the stop-and-wait baseline
-// (window=1, batch=1, inbox=1 — exactly the legacy schedule) and the
+// Every (transport, mode) cell runs twice: the unit-window baseline
+// (window=1, batch=1, inbox=1 — the library defaults) and the
 // pipelined tuning, so the report carries its own control group.
 //
 // Usage:
@@ -390,7 +390,7 @@ ReadRunResult runReadTier(const BenchOptions &Bench, rt::TransportKind T,
                           read::ReadTier Tier, size_t Ops) {
   ReadRunResult R;
 
-  // Stop-and-wait knobs, deliberately: a single closed-loop client
+  // Unit-window knobs, deliberately: a single closed-loop client
   // never fills a pipeline window, and deep inbox batching makes the
   // WAL group commit hold a solitary write until heartbeat traffic
   // pads the batch — which would charge ~one heartbeat interval to

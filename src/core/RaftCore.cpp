@@ -660,34 +660,30 @@ void RaftCore::onAppendReply(const Msg &M, Effects &Out) {
   noteAck(M.From); // Even a consistency NAK proves the replica is alive.
   if (M.Success) {
     size_t &Match = MatchIndex[M.From];
+    bool Advanced = M.MatchIndex > Match;
     Match = std::max(Match, M.MatchIndex);
     NextIndex[M.From] = Match + 1;
-    if (Opts.PipelineWindow > 1) {
-      // One frame acked: free its window slot (saturating — replies to
-      // empty keep-alive frames did not occupy one).
-      PeerPipe &PP = Pipe[M.From];
-      if (PP.InFlight > 0)
-        --PP.InFlight;
-      if (PP.SentNext < Match + 1)
-        PP.SentNext = Match + 1;
-    }
+    PeerPipe &PP = Pipe[M.From];
+    // An ack that acknowledges new entries frees its frame's window
+    // slot. A keep-alive is anchored at the acked point, so its ack
+    // advances nothing and frees nothing.
+    if (Advanced && PP.InFlight > 0)
+      --PP.InFlight;
+    if (PP.SentNext < Match + 1)
+      PP.SentNext = Match + 1;
     advanceCommit(Out);
-    // Keep streaming if the follower is still behind.
-    if (Match < lastLogIndex())
-      replicateTo(M.From, Out);
+    streamUnsent(M.From, Out);
     return;
   }
-  // Back up and retry.
+  // Back up and retry. A consistency NAK invalidates everything past the
+  // probe point: frames still in flight carry the wrong PrevIndex
+  // anchor, so drop the window and rewind the cursor to re-send from the
+  // backup.
   size_t &Next = NextIndex[M.From];
   Next = std::max<size_t>(1, std::min(Next - 1, M.MatchIndex + 1));
-  if (Opts.PipelineWindow > 1) {
-    // A consistency NAK invalidates everything past the probe point:
-    // frames still in flight carry the wrong PrevIndex anchor, so drop
-    // the window and rewind the cursor to re-stream from the backup.
-    PeerPipe &PP = Pipe[M.From];
-    PP.InFlight = 0;
-    PP.SentNext = Next;
-  }
+  PeerPipe &PP = Pipe[M.From];
+  PP.InFlight = 0;
+  PP.SentNext = Next;
   replicateTo(M.From, Out);
 }
 
@@ -810,8 +806,7 @@ void RaftCore::onInstallSnapshotReply(const Msg &M, Effects &Out) {
     NextIndex[M.From] = Match + 1;
     OutgoingSnaps.erase(It);
     advanceCommit(Out);
-    if (MatchIndex[M.From] < lastLogIndex())
-      replicateTo(M.From, Out);
+    streamUnsent(M.From, Out);
     return;
   }
   // Ack-clocked streaming: resume from the follower's next expected
@@ -1215,18 +1210,19 @@ void RaftCore::replicateTo(NodeId Peer, Effects &Out) {
       return;
     }
   }
-  if (Opts.PipelineWindow <= 1) {
-    // Stop-and-wait: one frame per call, re-sent from NextIndex until
-    // the ack arrives.
-    sendAppendFrame(Peer, Next, Out);
-    return;
-  }
-  // Pipelined: stream entry-bearing frames until the window fills or
-  // the log runs dry. The send cursor runs ahead of NextIndex (which
-  // only acks advance); a heartbeat or NAK rewinds it.
+  // The send cursor runs ahead of NextIndex (which only acks advance);
+  // acks send only past it, and a heartbeat or NAK rewinds it.
   PeerPipe &PP = Pipe[Peer];
   if (PP.SentNext < Next)
     PP.SentNext = Next; // Fresh pipe, or acks overtook the cursor.
+  if (Opts.PipelineWindow <= 1) {
+    // Unit window: one frame per call, from the acked point, so every
+    // broadcast also retransmits the unacked suffix.
+    PP.SentNext = std::max(PP.SentNext, sendAppendFrame(Peer, Next, Out));
+    return;
+  }
+  // Pipelined: stream entry-bearing frames until the window fills or
+  // the log runs dry.
   bool SentEntries = false;
   while (PP.InFlight < Opts.PipelineWindow && PP.SentNext <= lastLogIndex()) {
     PP.SentNext = sendAppendFrame(Peer, PP.SentNext, Out);
@@ -1238,6 +1234,14 @@ void RaftCore::replicateTo(NodeId Peer, Effects &Out) {
   // occupy a window slot — its ack harmlessly saturates at zero.
   if (!SentEntries && PP.InFlight == 0)
     sendAppendFrame(Peer, PP.SentNext, Out);
+}
+
+void RaftCore::streamUnsent(NodeId Peer, Effects &Out) {
+  auto It = Pipe.find(Peer);
+  size_t Cursor = std::max(It == Pipe.end() ? 0 : It->second.SentNext,
+                           NextIndex[Peer]);
+  if (Cursor <= lastLogIndex())
+    replicateTo(Peer, Out);
 }
 
 size_t RaftCore::sendAppendFrame(NodeId Peer, size_t Next, Effects &Out) {
@@ -1266,10 +1270,9 @@ void RaftCore::broadcastAppends(Effects &Out, bool ResetPipe) {
       continue;
     if (!NextIndex.count(Peer))
       NextIndex[Peer] = lastLogIndex() + 1; // Node joined just now.
-    if (ResetPipe && Opts.PipelineWindow > 1) {
-      // Heartbeat round: rewind to the acked point and re-fill the
-      // window. This is how windowed frames lost in flight get
-      // retransmitted.
+    if (ResetPipe) {
+      // Heartbeat round: rewind to the acked point and re-send from
+      // there. This is how frames lost in flight get retransmitted.
       PeerPipe &PP = Pipe[Peer];
       PP.InFlight = 0;
       PP.SentNext = NextIndex[Peer];

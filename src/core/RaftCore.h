@@ -255,9 +255,12 @@ struct CoreOptions {
   size_t SnapshotLagEntries = 64;
   size_t SnapshotChunkBytes = 4096;
 
-  /// Replication hot path. Both default to 1, which takes exactly the
-  /// legacy stop-and-wait code paths (the sim's byte-identical seed
-  /// schedules depend on this).
+  /// Replication hot path. A leader keeps a per-follower send cursor,
+  /// the first index never sent to that follower. An ack sends only
+  /// entries past the cursor, so acks never re-send what is in flight;
+  /// a heartbeat (the retransmission path for lost frames) and a
+  /// consistency NAK rewind it to the acked point. Both knobs default
+  /// to 1.
   ///
   /// MaxAppendBatch > 1 coalesces leader submits: a client entry is
   /// appended locally but its broadcast is deferred until
@@ -265,11 +268,12 @@ struct CoreOptions {
   /// heartbeat, a noop, a reconfig — flushes the batch first), so one
   /// AppendEntries carries the whole burst.
   size_t MaxAppendBatch = 1;
-  /// PipelineWindow > 1 streams up to that many AppendEntries frames to
-  /// a follower without waiting for acks. Each heartbeat round rewinds
-  /// the send cursor to the acked point and re-fills the window, which
-  /// is also the retransmission path for frames lost in flight; a
-  /// consistency NAK rewinds immediately.
+  /// PipelineWindow = 1 sends one frame per broadcast (a submit, a
+  /// commit advance) from the acked point, so a broadcast also
+  /// retransmits the unacked suffix. PipelineWindow > 1 streams frames
+  /// from the cursor, each entry once, up to that many unacked
+  /// entry-bearing frames per follower, and sends an empty keep-alive
+  /// (carrying the commit index) only when none is in flight.
   size_t PipelineWindow = 1;
 
   /// Linearizable read path (src/read layers client policy on top of
@@ -565,11 +569,10 @@ public:
       S.addU64(Staging->SnapTerm);
       S.addString(Staging->Buf);
     }
-    // Pipelined-replication volatile state: the send cursor and window
-    // occupancy steer which AppendEntries frames a leader emits next,
-    // and a deferred batch steers when it emits them, so the model
-    // checker must distinguish them (both stay empty/zero under the
-    // default stop-and-wait options).
+    // Replication volatile state: the send cursor and window occupancy
+    // steer which AppendEntries frames a leader emits next, and a
+    // deferred batch steers when it emits them, so the model checker
+    // must distinguish them.
     S.addU64(Pipe.size());
     for (const auto &[Peer, PP] : Pipe) {
       S.addU32(Peer);
@@ -662,9 +665,12 @@ private:
 
   // Leader machinery.
   void replicateTo(NodeId Peer, Effects &Out);
-  /// \p ResetPipe rewinds every peer's pipelined send cursor to its
-  /// acked point first — the heartbeat round passes true, making it the
-  /// retransmission path for windowed frames lost in flight.
+  /// Ack-clocked streaming: replicateTo only if \p Peer has log entries
+  /// it was never sent. An ack never re-sends what is still in flight.
+  void streamUnsent(NodeId Peer, Effects &Out);
+  /// \p ResetPipe rewinds every peer's send cursor to its acked point
+  /// first — the heartbeat round passes true, making it the
+  /// retransmission path for frames lost in flight.
   void broadcastAppends(Effects &Out, bool ResetPipe = false);
   void advanceCommit(Effects &Out);
   void appendOwn(LogEntry Entry, Effects &Out);
@@ -764,14 +770,14 @@ private:
   uint64_t SnapshotsInstalledCount = 0;
 
   //===--------------------------------------------------------------===//
-  // Pipelined-replication state (volatile, leader-only; stays empty
-  // under the default stop-and-wait options)
+  // Replication state (volatile, leader-only)
   //===--------------------------------------------------------------===//
 
   /// Per-follower pipeline: SentNext is the send cursor (first index
   /// not yet shipped; may run ahead of NextIndex, which tracks acks),
-  /// InFlight counts unacked entry-bearing frames. A SentNext of 0
-  /// means "not yet initialized; adopt NextIndex on first use".
+  /// InFlight counts unacked entry-bearing frames (PipelineWindow > 1
+  /// only). A SentNext of 0 means "not yet initialized; adopt NextIndex
+  /// on first use".
   struct PeerPipe {
     size_t SentNext = 0;
     size_t InFlight = 0;

@@ -786,7 +786,10 @@ TEST(ChaosDeterminismTest, SingleGroupRunsMatchPreShardingBaseline) {
   // formatting — which it must not. The DiskFaults, KillForever and
   // ClockDrift rows were captured before the hosts moved onto
   // core/Host.h; they pin the persist pre-pass and store recovery, the
-  // suspicion observers, and the read observers.
+  // suspicion observers, and the read observers. The table was re-pinned
+  // once when acks stopped re-sending entries already in flight: fewer
+  // messages shift commit times, so every history but Reconfigs seed
+  // 77's moved, and the Mixed seed 77 nemesis trace with them.
   struct Golden {
     Scenario Kind;
     uint64_t Seed;
@@ -794,24 +797,24 @@ TEST(ChaosDeterminismTest, SingleGroupRunsMatchPreShardingBaseline) {
     uint64_t HistoryHash;
   };
   const Golden Goldens[] = {
-      {Scenario::Mixed, 77, 0xb25cf8ac3c01a0f4ULL, 0xb21a175df4384e82ULL},
-      {Scenario::Mixed, 1234, 0x0f28884619cf79d3ULL, 0x597b6ee6d5919b6dULL},
+      {Scenario::Mixed, 77, 0xd4f7c5d515e6bf65ULL, 0x2a7403d93a223edeULL},
+      {Scenario::Mixed, 1234, 0x0f28884619cf79d3ULL, 0x2d3d23ec94120427ULL},
       {Scenario::Reconfigs, 77, 0x26b59234d37c8d9bULL, 0xf14814afdc0739feULL},
       {Scenario::Reconfigs, 1234, 0x6cb721c5919bd1baULL,
-       0xe0cbc05762f22279ULL},
+       0x1810cce5a626bf6dULL},
       {Scenario::CrashMidReconfig, 77, 0xd05b6e93a92e5bdbULL,
-       0x042467fefd6b9f36ULL},
+       0xd6c8f60e88e61712ULL},
       {Scenario::CrashMidReconfig, 1234, 0x88787faa7b3308ebULL,
-       0x3238cc0e45835d56ULL},
-      {Scenario::DiskFaults, 77, 0x1b3d7e8f6a37bd28ULL, 0x632a10d5aa459744ULL},
+       0x4aca495b197a540aULL},
+      {Scenario::DiskFaults, 77, 0x1b3d7e8f6a37bd28ULL, 0x5675f2709b95d00dULL},
       {Scenario::DiskFaults, 1234, 0xa43412da2d331412ULL,
-       0x3549101d9b403701ULL},
-      {Scenario::KillForever, 77, 0x2d98561b2badd8b4ULL, 0xa70264a7bebe4657ULL},
+       0x384e25b8ab9cf7f1ULL},
+      {Scenario::KillForever, 77, 0x2d98561b2badd8b4ULL, 0xf5b81bbc6aadbd59ULL},
       {Scenario::KillForever, 1234, 0x6c794a6c83220baaULL,
-       0x0f9563b960e2f811ULL},
-      {Scenario::ClockDrift, 77, 0xb96701f435fef46cULL, 0x3466ea68d9aefab9ULL},
+       0xe0422e7597ff8d61ULL},
+      {Scenario::ClockDrift, 77, 0xb96701f435fef46cULL, 0xdd6b05e352deaec2ULL},
       {Scenario::ClockDrift, 1234, 0x6c11a74bf6101012ULL,
-       0x0a3be581ca42723dULL},
+       0xd198188e3d9b4f7cULL},
   };
   auto Fnv = [](const std::string &S) {
     Fnv1aHasher H;

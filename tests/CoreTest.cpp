@@ -22,6 +22,9 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
+
 using namespace adore;
 using namespace adore::core;
 
@@ -1152,8 +1155,8 @@ TEST(ConfigIndexTest, MatchesLogScansUnderRandomMutation) {
 
 //===----------------------------------------------------------------------===//
 // Replication hot path: MaxAppendBatch coalescing and the
-// PipelineWindow in-flight window (defaults keep the legacy
-// stop-and-wait schedule; these tests turn the knobs on)
+// PipelineWindow in-flight window (both default to 1; these tests
+// turn the knobs on)
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -1451,6 +1454,133 @@ TEST(BatchTest, ReconfigFlushesAPendingBatch) {
   ASSERT_EQ(Sent[0]->Entries.size(), 2u);
   EXPECT_EQ(Sent[0]->Entries[0].Kind, raft::EntryKind::Method);
   EXPECT_EQ(Sent[0]->Entries[1].Kind, raft::EntryKind::Reconfig);
+}
+
+namespace {
+
+/// Three real cores on FIFO links, driven as a closed loop: node 1 is
+/// elected, then each op is submitted the moment the previous one
+/// commits at the leader (back to back), and messages are delivered one
+/// at a time in send order, so every link is in order. No timer fires,
+/// so there are no heartbeats and no loss. Records every AppendEntries
+/// the leader emits, by the input that emitted it.
+struct ClosedLoop {
+  CoreHarness H;
+  std::vector<RaftCore> Cores;
+  std::deque<Msg> Wire;
+  /// Frames per peer emitted by submits, by acks whose step advanced
+  /// the commit index, and by acks that did not.
+  std::map<NodeId, size_t> SubmitFrames, AdvanceFrames, OtherAckFrames;
+  size_t Submits = 0, Advances = 0, KeepAlives = 0;
+  /// How often each log index was shipped to each peer.
+  std::map<NodeId, std::map<size_t, size_t>> Shipped;
+
+  explicit ClosedLoop(size_t Window) {
+    H.Opts.PipelineWindow = Window;
+    for (NodeId Id : {1, 2, 3})
+      Cores.push_back(H.make(Id, /*Seed=*/Id));
+    for (RaftCore &C : Cores)
+      C.start();
+    post(Cores[0].onTimer(TimerId::Election, Cores[0].electionGen(), 0));
+    drain();
+  }
+
+  RaftCore &leader() { return Cores[0]; }
+
+  /// Queues the sends of \p Effs and returns the leader's AppendEntries
+  /// frames in it, per peer.
+  std::map<NodeId, size_t> post(const Effects &Effs) {
+    std::map<NodeId, size_t> Frames;
+    for (const Effect &E : Effs) {
+      if (E.K != Effect::Kind::Send)
+        continue;
+      Wire.push_back(E.M);
+      if (E.M.K != Msg::Kind::AppendEntries || E.M.From != 1)
+        continue;
+      ++Frames[E.M.To];
+      KeepAlives += E.M.Entries.empty();
+      for (size_t I = 0; I != E.M.Entries.size(); ++I)
+        ++Shipped[E.M.To][E.M.PrevIndex + 1 + I];
+    }
+    return Frames;
+  }
+
+  /// Delivers the oldest message in flight.
+  void deliverOne() {
+    Msg M = Wire.front();
+    Wire.pop_front();
+    Effects Effs = Cores[M.To - 1].onMessage(M, /*NowUs=*/0);
+    std::map<NodeId, size_t> Frames = post(Effs);
+    if (M.To != 1 || M.K != Msg::Kind::AppendReply)
+      return;
+    bool Advanced = count(Effs, Effect::Kind::CommitAdvanced) != 0;
+    Advances += Advanced;
+    for (const auto &[Peer, N] : Frames) {
+      (Advanced ? AdvanceFrames : OtherAckFrames)[Peer] += N;
+      if (Advanced) {
+        EXPECT_EQ(N, 1u) << "one frame per peer per commit advance";
+      }
+    }
+  }
+
+  void drain() {
+    while (!Wire.empty())
+      deliverOne();
+  }
+
+  void run(size_t Ops) {
+    ASSERT_TRUE(leader().isLeader());
+    while (Submits < Ops || !Wire.empty()) {
+      if (Submits < Ops && leader().commitIndex() == leader().logSize()) {
+        Effects Effs;
+        ASSERT_TRUE(leader().submit(10 + Submits, Submits + 1, Effs));
+        ++Submits;
+        for (const auto &[Peer, N] : post(Effs)) {
+          EXPECT_EQ(N, 1u) << "one frame per peer per submit";
+          SubmitFrames[Peer] += N;
+        }
+        continue;
+      }
+      ASSERT_FALSE(Wire.empty()) << "stalled before op " << Submits;
+      deliverOne();
+    }
+    EXPECT_EQ(leader().commitIndex(), leader().logSize());
+  }
+};
+
+} // namespace
+
+TEST(SendOnceTest, AcksNeverResendAtUnitWindow) {
+  ClosedLoop L(/*Window=*/1);
+  L.run(40);
+  for (NodeId Peer : {2, 3}) {
+    EXPECT_EQ(L.SubmitFrames[Peer], 40u);
+    // Each op's commit advance sends every peer one frame; acks that
+    // advance nothing send nothing, including acks of keep-alives.
+    EXPECT_EQ(L.AdvanceFrames[Peer], L.Advances);
+    EXPECT_EQ(L.OtherAckFrames[Peer], 0u);
+  }
+  EXPECT_EQ(L.Advances, 41u); // The noop's and each op's.
+  EXPECT_GT(L.KeepAlives, 0u);
+}
+
+TEST(SendOnceTest, EachEntryShippedOncePerPeerWhenPipelined) {
+  ClosedLoop L(/*Window=*/4);
+  L.run(40);
+  for (NodeId Peer : {2, 3}) {
+    EXPECT_EQ(L.SubmitFrames[Peer], 40u);
+    EXPECT_LE(L.AdvanceFrames[Peer], L.Advances);
+    EXPECT_EQ(L.OtherAckFrames[Peer], 0u);
+    // The noop and the 40 ops, each sent to each follower exactly once.
+    ASSERT_EQ(L.Shipped[Peer].size(), 41u);
+    for (const auto &[Index, Times] : L.Shipped[Peer])
+      EXPECT_EQ(Times, 1u) << "index " << Index << " to S" << Peer;
+  }
+  EXPECT_EQ(L.Advances, 41u); // The noop's and each op's.
+  // A commit advance sends a keep-alive only to followers with nothing
+  // in flight, which includes the one whose ack advanced it.
+  EXPECT_GE(L.AdvanceFrames[2] + L.AdvanceFrames[3], L.Advances);
+  EXPECT_GT(L.KeepAlives, 0u);
 }
 
 TEST(PipelineTest, UnitWindowAndBatchReproduceLegacySchedule) {

@@ -132,13 +132,23 @@ TEST(ReplicatedKvTest, GetMissingKey) {
 }
 
 TEST(ReplicatedKvTest, OverwriteAndDelete) {
+  // Each op is awaited before the next is issued. Concurrent ops may
+  // commit in any order (a client retry can land a put after a later
+  // del), so only sequenced ops make the final state below follow from
+  // linearizability.
   KvHarness H(3);
   size_t Acks = 0;
+  auto Await = [&](size_t N) {
+    return H.runUntil(20000000, [&] { return Acks == N; });
+  };
   H.Store->put(5, 1, [&](bool Ok, SimTime) { Acks += Ok; });
+  ASSERT_TRUE(Await(1));
   H.Store->put(5, 2, [&](bool Ok, SimTime) { Acks += Ok; });
+  ASSERT_TRUE(Await(2));
   H.Store->del(5, [&](bool Ok, SimTime) { Acks += Ok; });
+  ASSERT_TRUE(Await(3));
   H.Store->put(6, 3, [&](bool Ok, SimTime) { Acks += Ok; });
-  ASSERT_TRUE(H.runUntil(20000000, [&] { return Acks == 4; }));
+  ASSERT_TRUE(Await(4));
   bool Done = false;
   std::optional<uint32_t> Got5, Got6;
   H.Store->get(5, [&](bool, std::optional<uint32_t> V, SimTime) { Got5 = V; });

@@ -526,7 +526,7 @@ TEST(RtClusterTest, TcpTransportElectsCommitsAndFailsOver) {
 TEST(RtClusterTest, TcpPipelinedTuningCommitsConcurrentBursts) {
   // The bench's hot-path tuning (pipelined replication, append
   // batching, inbox-batch group commit) under concurrent clients on
-  // TCP: correctness must not depend on the stop-and-wait defaults.
+  // TCP: correctness must not depend on the unit-window defaults.
   RtClusterOptions Opts;
   Opts.Transport = TransportKind::Tcp;
   Opts.Seed = 29;

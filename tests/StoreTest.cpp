@@ -818,7 +818,8 @@ TEST(StoreCoreTest, SameLengthConflictWritesTheMirrorDiffBytes) {
   // entries of the same length: the core's dirty-from index must make
   // the store write the Truncate and the Appends the mirror diff wrote,
   // byte for byte, and recovery must rebuild the core's log.
-  std::unique_ptr<ReconfigScheme> Scheme = makeScheme(SchemeKind::RaftSingleNode);
+  std::unique_ptr<ReconfigScheme> Scheme =
+      makeScheme(SchemeKind::RaftSingleNode);
   core::RaftCore Core(1, *Scheme, Config(NodeSet{1, 2, 3}),
                       core::CoreOptions(), 5);
   MemVfs V(1);
