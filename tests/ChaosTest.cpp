@@ -837,6 +837,56 @@ TEST(ChaosDeterminismTest, SingleGroupRunsMatchPreShardingBaseline) {
   }
 }
 
+TEST(ChaosDeterminismTest, ShardedRunsMatchBaseline) {
+  // The sharded counterpart of the table above: a 4-group pool (meta
+  // group plus data groups on one timeline) must keep producing the
+  // exact bytes captured before the single-group and pool drivers were
+  // merged into one group loop. Each scenario family the pool runs
+  // differently is pinned: per-group nemeses (Mixed), the migration
+  // driver (ShardReconfig), per-group healers with map re-sync
+  // (KillForever) and store-backed groups (DiskFaults).
+  struct Golden {
+    Scenario Kind;
+    uint64_t Seed;
+    uint64_t NemesisHash;
+    uint64_t HistoryHash;
+  };
+  const Golden Goldens[] = {
+      {Scenario::Mixed, 77, 0xf8cf8f41980658ceULL, 0x4f7b890a2363afa2ULL},
+      {Scenario::Mixed, 1234, 0xcb797e604162d870ULL, 0xb09d9c1bb720ad6fULL},
+      {Scenario::ShardReconfig, 77, 0xc8563b5c5596e0fcULL,
+       0xafee1806b92af7f0ULL},
+      {Scenario::ShardReconfig, 1234, 0x3c2fc607b8ee0e9aULL,
+       0x967a7944b3e1576dULL},
+      {Scenario::KillForever, 77, 0x21516d2748722ef7ULL, 0x13c48d2134f88815ULL},
+      {Scenario::KillForever, 1234, 0x6455cde78357159bULL,
+       0xed6ab482a03a5195ULL},
+      {Scenario::DiskFaults, 77, 0x9ebbabf5d2bed240ULL, 0x7612fb89f3da3c4eULL},
+      {Scenario::DiskFaults, 1234, 0x373f007ba9f666c1ULL,
+       0x5b8d600a5ec00737ULL},
+  };
+  auto Fnv = [](const std::string &S) {
+    Fnv1aHasher H;
+    H.addString(S);
+    return H.finish();
+  };
+  for (const Golden &G : Goldens) {
+    ChaosRunOptions Opts;
+    Opts.Groups = 4;
+    Opts.Nemesis.Kind = G.Kind;
+    Opts.Workload.NumOps = 30;
+    ChaosRunResult R = runChaosScenario(Opts, G.Seed);
+    EXPECT_TRUE(R.passed()) << R.summary();
+    EXPECT_EQ(R.GroupStats.size(), 5u) << "meta group plus 4 data groups";
+    EXPECT_EQ(Fnv(R.NemesisTrace), G.NemesisHash)
+        << scenarioName(G.Kind) << " seed " << G.Seed
+        << ": sharded nemesis trace drifted from the baseline";
+    EXPECT_EQ(Fnv(R.HistoryText), G.HistoryHash)
+        << scenarioName(G.Kind) << " seed " << G.Seed
+        << ": sharded history drifted from the baseline";
+  }
+}
+
 TEST(ChaosDeterminismTest, IndependentOfMcThreadSetting) {
   // The chaos layer must not key any behaviour off ADORE_MC_THREADS (the
   // model checker's parallelism knob). Run with the variable forced to
