@@ -25,10 +25,10 @@
 //                               store on a fault-injecting disk (the
 //                               disk-faults scenario forces this on)
 //   bench_chaos --groups N      run N data consensus groups behind a
-//                               replicated pool map (N >= 1; 1 is the
-//                               original single-group harness, except
-//                               for the shard-reconfig scenario, which
-//                               always runs the sharded pool)
+//                               replicated pool map (N >= 1; 1 runs one
+//                               group with no pool, except for the
+//                               shard-reconfig scenario, which always
+//                               runs a pool)
 //   bench_chaos --shards N      shards the keyspace splits into for
 //                               multi-group runs (default 16)
 //   bench_chaos --transport=T   bus (default: in-process message bus)

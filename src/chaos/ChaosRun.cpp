@@ -11,20 +11,24 @@
 #include "chaos/Linearizability.h"
 #include "heal/Healer.h"
 #include "kv/KvStore.h"
+#include "kv/ShardedKv.h"
 #include "read/ReadPath.h"
+#include "sim/ShardedCluster.h"
 
 #include <algorithm>
+#include <memory>
 
 using namespace adore;
 using namespace adore::chaos;
+using adore::shard::GroupId;
 using sim::SimTime;
 
-/// Full strength for the self-healing check: the leader's configuration
-/// has at least \p Target members and every one of them is alive with
-/// the leader's whole commit prefix in its log.
-static bool fullyReplicated(const sim::Cluster &C,
-                            const ReconfigScheme &Scheme, NodeId Leader,
-                            size_t Target) {
+namespace {
+
+/// Full strength for one group: the leader's configuration has at least
+/// \p Target members, all alive and holding the leader's commit prefix.
+bool fullyReplicated(const sim::Cluster &C, const ReconfigScheme &Scheme,
+                     NodeId Leader, size_t Target) {
   NodeSet Members = Scheme.mbrs(C.node(Leader).config());
   if (Members.size() < Target)
     return false;
@@ -37,29 +41,172 @@ static bool fullyReplicated(const sim::Cluster &C,
   return true;
 }
 
+Config currentConfigOf(sim::Cluster &C) {
+  if (std::optional<NodeId> L = C.leader())
+    return C.node(*L).config();
+  for (NodeId N : C.universe()) {
+    const sim::RaftNode &Node = C.node(N);
+    if (!Node.isCrashed() && !Node.isPassive())
+      return Node.config();
+  }
+  return C.node(C.universe()[0]).config();
+}
+
+/// The shard-reconfig nemesis: instead of cutting links or crashing
+/// nodes, it migrates groups — pick a data group, pick a legal successor
+/// replica set from the scheme's own candidateReconfigs enumeration,
+/// commit a pool map recording the move through the metadata group, and
+/// only then reconfigure the group itself. One migration in flight at a
+/// time, so every proposal targets the committed generation + 1.
+class MigrationDriver {
+public:
+  MigrationDriver(sim::ShardedCluster &Pool, NemesisOptions Opts,
+                  uint64_t Seed)
+      : Pool(Pool), Opts(Opts), R(Seed) {}
+
+  void start() {
+    StartAt = Pool.queue().now();
+    record("scenario shard-reconfig (migration driver)");
+    scheduleNext();
+  }
+
+  const std::vector<NemesisAction> &trace() const { return Trace; }
+  size_t requested() const { return Requested; }
+  size_t committed() const { return Committed; }
+
+private:
+  void record(const std::string &Desc) {
+    Trace.push_back(NemesisAction{Pool.queue().now(), Desc});
+  }
+
+  void scheduleNext() {
+    SimTime Gap =
+        R.nextInRange(Opts.MeanGapUs, Opts.MeanGapUs * 3);
+    Pool.queue().scheduleAfter(Gap, [this] {
+      if (Pool.queue().now() >= StartAt + Opts.HorizonUs)
+        return;
+      step();
+      scheduleNext();
+    });
+  }
+
+  void step() {
+    if (InFlight || !Pool.scheme().allowsReconfig())
+      return;
+    GroupId G = 1 + static_cast<GroupId>(R.nextBelow(Pool.dataGroups()));
+    Config Cur = currentConfigOf(Pool.group(G));
+    std::vector<Config> Cands =
+        Pool.scheme().candidateReconfigs(Cur, Pool.groupUniverse(G));
+    if (Cands.empty())
+      return;
+    Config Next = R.pick(Cands);
+    shard::PoolMap M = Pool.committedMap();
+    M.Generation += 1;
+    M.GroupReplicas[G] = Pool.scheme().mbrs(Next);
+    M.Roster = M.Roster.unionWith(M.GroupReplicas[G]);
+    InFlight = true;
+    ++Requested;
+    record("migrate group " + std::to_string(G) + " -> " +
+           M.GroupReplicas[G].str() + " (propose gen " +
+           std::to_string(M.Generation) + ")");
+    Pool.proposeMap(M, [this, G, Next](bool Ok) {
+      if (!Ok) {
+        record("map proposal for group " + std::to_string(G) + " lost");
+        InFlight = false;
+        return;
+      }
+      record("map committed; reconfiguring group " + std::to_string(G));
+      Pool.group(G).requestReconfig(
+          Next,
+          [this, G](bool Ok2, SimTime) {
+            record(Ok2 ? "group " + std::to_string(G) +
+                             " reconfig committed"
+                       : "group " + std::to_string(G) +
+                             " reconfig timed out");
+            if (Ok2)
+              ++Committed;
+            InFlight = false;
+          },
+          /*MaxTriesUs=*/3000000);
+    });
+  }
+
+  sim::ShardedCluster &Pool;
+  NemesisOptions Opts;
+  Rng R;
+  SimTime StartAt = 0;
+  std::vector<NemesisAction> Trace;
+  bool InFlight = false;
+  size_t Requested = 0;
+  size_t Committed = 0;
+};
+
+/// Independent seed streams of one run. One master seed forks cluster /
+/// nemesis / workload / healer seeds in that order, so e.g. changing the
+/// workload mix never perturbs the nemesis schedule. A single group uses
+/// the nemesis and healer streams directly; a pool forks them per data
+/// group (the migration driver's draw first), so adding groups never
+/// perturbs earlier groups' schedules.
+struct RunSeeds {
+  uint64_t Cluster = 0;
+  uint64_t Workload = 0;
+  uint64_t Migration = 0;
+  std::vector<uint64_t> Nemesis;
+  std::vector<uint64_t> Healer;
+};
+
+RunSeeds deriveSeeds(uint64_t Seed, bool IsPool, size_t DataGroups) {
+  Rng Master(Seed);
+  RunSeeds S;
+  S.Cluster = Master.next();
+  uint64_t NemesisSeed = Master.next();
+  S.Workload = Master.next();
+  uint64_t HealSeed = Master.next();
+  if (!IsPool) {
+    S.Nemesis = {NemesisSeed};
+    S.Healer = {HealSeed};
+    return S;
+  }
+  Rng NemMaster(NemesisSeed);
+  S.Migration = NemMaster.next();
+  Rng HealMaster(HealSeed);
+  for (size_t I = 0; I != DataGroups; ++I) {
+    S.Nemesis.push_back(NemMaster.next());
+    S.Healer.push_back(HealMaster.next());
+  }
+  return S;
+}
+
+/// One consensus group under test: the single cluster, or one group of
+/// the pool (the metadata group included, with no KV store and no
+/// nemesis).
+struct GroupRun {
+  sim::Cluster *C = nullptr;
+  /// Prefix of this group's violations ("" for a single group).
+  std::string Tag;
+  kv::ReplicatedKvStore *Kv = nullptr;
+  CommittedLedger Ledger;
+  std::unique_ptr<Nemesis> N;
+  std::unique_ptr<heal::Healer> Doc;
+};
+
+} // namespace
+
 ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
                                               uint64_t Seed) {
-  // Multi-group requests (and the migration scenario, which needs a
-  // metadata group even over one data group) take the sharded harness;
-  // everything else runs the original path untouched, which the
-  // differential regression test pins byte-for-byte.
-  if (Opts.Groups > 1 || Opts.Nemesis.Kind == Scenario::ShardReconfig)
-    return runShardedChaosScenario(Opts, Seed);
-
   ChaosRunResult Result;
   Result.Seed = Seed;
   Result.Kind = Opts.Nemesis.Kind;
 
-  // One master seed forks independent streams per component, so e.g.
-  // changing the workload mix never perturbs the nemesis schedule.
-  Rng Master(Seed);
-  uint64_t ClusterSeed = Master.next();
-  uint64_t NemesisSeed = Master.next();
-  uint64_t WorkloadSeed = Master.next();
+  // Multi-group runs, and the migration scenario (which needs a metadata
+  // group even over one data group), run a pool: a metadata group
+  // replicating the pool map plus the data groups, with the workload
+  // routed per key. Everything else is one group with no pool.
+  bool IsPool = Opts.Groups > 1 || Opts.Nemesis.Kind == Scenario::ShardReconfig;
+  size_t DataGroups = IsPool ? std::max<size_t>(1, Opts.Groups) : 1;
+  RunSeeds Seeds = deriveSeeds(Seed, IsPool, DataGroups);
 
   std::unique_ptr<ReconfigScheme> Scheme = makeScheme(Opts.Scheme);
-  Config Initial(NodeSet::range(1, Opts.Members));
-  NodeSet Universe = NodeSet::range(1, Opts.Members + Opts.Spares);
   // The disk-faults scenario is meaningless without the store, so it
   // forces durable mode; any other scenario can opt in via the flag.
   bool Durable =
@@ -94,113 +241,101 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
                      .MaxDriftPpm = 100000},
                     CO.Node);
   }
-  sim::Cluster C(*Scheme, Initial, Universe, CO, ClusterSeed);
 
-  CommittedLedger Ledger;
-  C.addApplyHook([&Ledger](NodeId Node, size_t Index,
-                           const sim::SimLogEntry &E) {
-    Ledger.observe(Node, Index, E);
-  });
-
-  kv::ReplicatedKvStore Store(C);
-  History H;
-  Store.setObserver(&H);
-
-  C.start();
-  if (!C.runUntilLeader(5000000))
-    Result.Violations.push_back("no leader elected before chaos start");
-  SimTime Start = C.queue().now();
-
-  Nemesis N(C, Opts.Nemesis, NemesisSeed);
-  N.start();
-
-  // Self-healing driver (kill-forever only). Suspicion observations from
-  // whichever node currently leads feed one Healer, and a periodic tick
-  // turns its proposals into client-path reconfiguration requests. The
-  // clocks feed the time-to-detect / time-to-full-replication metrics;
-  // the replication clock restarts whenever another victim drops.
-  std::optional<heal::Healer> Doc;
-  SimTime FirstSuspectAt = 0;
-  SimTime FullyReplicatedAt = 0;
-  SimTime LastKillAt = 0;
-  size_t KillsSeen = 0;
-  std::function<void()> HealTick;
-  if (Healing) {
-    heal::HealerOptions HO;
-    HO.Seed = Master.next();
-    HO.BaseBackoffUs = 100000;
-    HO.MaxBackoffUs = 1600000;
-    HO.CooldownUs = 400000;
-    Doc.emplace(*Scheme, HO);
-    for (NodeId Id : C.universe())
-      C.node(Id).hooks().OnSuspicion =
-          [&](NodeId, NodeId Peer, bool SuspectedNow) {
-            if (!SuspectedNow) {
-              Doc->observeRecovered(Peer);
-              return;
-            }
-            Doc->observeSuspected(Peer);
-            if (!FirstSuspectAt)
-              FirstSuspectAt = C.queue().now();
-          };
-    const SimTime HealTickUs = 50000;
-    SimTime End = Start + Opts.Nemesis.HorizonUs + Opts.QuiescenceUs;
-    HealTick = [&, HealTickUs, End] {
-      SimTime Now = C.queue().now();
-      if (N.killedForever().size() > KillsSeen) {
-        KillsSeen = N.killedForever().size();
-        LastKillAt = Now;
-        FullyReplicatedAt = 0;
-      }
-      if (std::optional<NodeId> L = C.leader()) {
-        if (FullyReplicatedAt == 0 && KillsSeen != 0 &&
-            fullyReplicated(C, *Scheme, *L, Opts.Members))
-          FullyReplicatedAt = Now;
-        if (std::optional<Config> P =
-                Doc->tick(Now, C.node(*L).config(), C.universe(), *L))
-          C.requestReconfig(
-              *P,
-              [&](bool Ok, SimTime) {
-                Doc->onReconfigResult(Ok, C.queue().now());
-              },
-              /*MaxTriesUs=*/1500000);
-      }
-      if (Now + HealTickUs < End)
-        C.queue().scheduleAfter(HealTickUs, HealTick);
-    };
-    C.queue().scheduleAfter(HealTickUs, HealTick);
+  // Construction is the one shape-specific step: the groups under test
+  // are the one cluster, or the metadata group (index 0) plus the data
+  // groups of a pool, all on one timeline.
+  std::unique_ptr<sim::Cluster> Single;
+  std::unique_ptr<sim::ShardedCluster> Pool;
+  std::vector<GroupRun> Groups(IsPool ? DataGroups + 1 : 1);
+  size_t FirstData = IsPool ? 1 : 0;
+  if (IsPool) {
+    sim::ShardedClusterOptions SCO;
+    SCO.Group = CO;
+    SCO.Groups = static_cast<uint32_t>(DataGroups);
+    SCO.NumShards = Opts.Shards;
+    SCO.Members = static_cast<uint32_t>(Opts.Members);
+    SCO.Spares = static_cast<uint32_t>(Opts.Spares);
+    Pool = std::make_unique<sim::ShardedCluster>(*Scheme, SCO, Seeds.Cluster);
+    for (GroupId G = 0; G != Groups.size(); ++G) {
+      Groups[G].C = &Pool->group(G);
+      Groups[G].Tag = "group " + std::to_string(G) + ": ";
+    }
+  } else {
+    Single = std::make_unique<sim::Cluster>(
+        *Scheme, Config(NodeSet::range(1, Opts.Members)),
+        NodeSet::range(1, Opts.Members + Opts.Spares), CO, Seeds.Cluster);
+    Groups[0].C = Single.get();
   }
+  sim::EventQueue &Q = Groups[0].C->queue();
 
-  // Schedule the whole workload up front (invocation times and op mix
-  // are drawn now; effects happen in virtual time). Every put writes a
-  // globally unique value, which is what makes per-key register
-  // linearizability checking discriminating.
-  Rng W(WorkloadSeed);
-  uint32_t NextVal = 1;
+  // One first-apply-wins ledger per group, metadata group included.
+  for (GroupRun &GR : Groups)
+    GR.C->addApplyHook(
+        [&GR](NodeId Node, size_t Index, const sim::SimLogEntry &E) {
+          GR.Ledger.observe(Node, Index, E);
+        });
+
+  // The KV front end, and with it the one call that issues a workload
+  // op. Reads with the read tiers on go through the protocol read path;
+  // the observer still records each as a Get, so the Wing & Gong check
+  // covers the read path end to end.
+  History H;
+  std::unique_ptr<kv::ReplicatedKvStore> SingleKv;
+  std::unique_ptr<kv::ShardedKvStore> PoolKv;
   const ChaosWorkloadOptions &WL = Opts.Workload;
-  for (size_t I = 0; I != WL.NumOps; ++I) {
-    SimTime At = Start + W.nextBelow(Opts.Nemesis.HorizonUs);
-    uint32_t Key = static_cast<uint32_t>(W.nextBelow(WL.NumKeys));
-    unsigned Draw = static_cast<unsigned>(W.nextBelow(1000));
-    uint32_t Val = NextVal++;
-    C.queue().scheduleAt(At, [&Store, &WL, &Result, Key, Draw, Val,
-                              ReadPath] {
+  auto CountRead = [&Result](bool Ok) {
+    if (Ok)
+      ++Result.ReadsOk;
+    else
+      ++Result.ReadsFailed;
+  };
+  std::function<void(uint32_t, unsigned, uint32_t)> Issue;
+  if (IsPool) {
+    PoolKv = std::make_unique<kv::ShardedKvStore>(*Pool);
+    PoolKv->setOpTimeout(WL.OpTimeoutUs);
+    PoolKv->setObserver(&H);
+    // A pool cannot choose where a read lands per op: with the read
+    // tiers on, every read starts at a follower, and one the group
+    // cannot prove safe is re-sent pinned to the leader.
+    PoolKv->setFollowerReads(ReadPath);
+    for (GroupId G = 1; G != Groups.size(); ++G)
+      Groups[G].Kv = &PoolKv->groupStore(G);
+    Issue = [&, ReadPath](uint32_t Key, unsigned Draw, uint32_t Val) {
+      kv::ShardedKvStore &Store = *PoolKv;
       if (Draw < WL.GetPermille) {
         if (ReadPath) {
-          // Alternate leader-side and follower-side reads; the
-          // observer still records each as a Get, so the Wing & Gong
-          // check covers the read path end to end.
+          ++Result.ReadsIssued;
+          ++Result.ReadsAtFollower;
+        }
+        Store.get(Key, [&CountRead, ReadPath](bool Ok,
+                                              std::optional<uint32_t>,
+                                              SimTime) {
+          if (ReadPath)
+            CountRead(Ok);
+        });
+      } else if (Draw < WL.GetPermille + WL.DelPermille)
+        Store.del(Key, [](bool, SimTime) {});
+      else
+        Store.put(Key, Val, [](bool, SimTime) {});
+    };
+  } else {
+    SingleKv = std::make_unique<kv::ReplicatedKvStore>(*Single);
+    SingleKv->setObserver(&H);
+    Groups[0].Kv = SingleKv.get();
+    Issue = [&, ReadPath](uint32_t Key, unsigned Draw, uint32_t Val) {
+      kv::ReplicatedKvStore &Store = *SingleKv;
+      if (Draw < WL.GetPermille) {
+        if (ReadPath) {
+          // Alternate leader-side and follower-side reads.
           bool AtFollower = (Draw % 2) == 0;
           ++Result.ReadsIssued;
           if (AtFollower)
             ++Result.ReadsAtFollower;
           Store.getFast(
               Key,
-              [&Result](bool Ok, std::optional<uint32_t>, SimTime) {
-                if (Ok)
-                  ++Result.ReadsOk;
-                else
-                  ++Result.ReadsFailed;
+              [&CountRead](bool Ok, std::optional<uint32_t>, SimTime) {
+                CountRead(Ok);
               },
               AtFollower, WL.OpTimeoutUs);
         } else {
@@ -212,57 +347,228 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
         Store.del(Key, [](bool, SimTime) {}, WL.OpTimeoutUs);
       else
         Store.put(Key, Val, [](bool, SimTime) {}, WL.OpTimeoutUs);
-    });
+    };
+  }
+
+  if (Pool) {
+    Pool->start();
+    if (!Pool->runUntilAllLeaders(5000000))
+      Result.Violations.push_back(
+          "not every group elected a leader before chaos start");
+  } else {
+    Single->start();
+    if (!Single->runUntilLeader(5000000))
+      Result.Violations.push_back("no leader elected before chaos start");
+  }
+  SimTime Start = Q.now();
+  SimTime End = Start + Opts.Nemesis.HorizonUs + Opts.QuiescenceUs;
+
+  // Fault injection. Shard-reconfig runs the migration driver; every
+  // other scenario runs one independent nemesis per data group (a
+  // pool's metadata group stays fault-free so the map service is
+  // comparable across scenarios).
+  std::optional<MigrationDriver> Driver;
+  if (Opts.Nemesis.Kind == Scenario::ShardReconfig) {
+    Driver.emplace(*Pool, Opts.Nemesis, Seeds.Migration);
+    Driver->start();
+  } else {
+    for (size_t G = FirstData; G != Groups.size(); ++G)
+      Groups[G].N = std::make_unique<Nemesis>(*Groups[G].C, Opts.Nemesis,
+                                              Seeds.Nemesis[G - FirstData]);
+    for (size_t G = FirstData; G != Groups.size(); ++G)
+      Groups[G].N->start();
+  }
+
+  // Self-healing drivers, one Healer per data group (kill-forever only).
+  // Suspicion observations from whichever node currently leads feed the
+  // group's Healer, and a periodic tick turns its proposals into
+  // client-path reconfiguration requests. In a pool, whenever a group's
+  // live configuration diverges from the committed pool map, the tick
+  // also proposes the corrected map through the metadata group's
+  // generation-CAS (retried on a later tick if it loses the race), so
+  // routing state follows the certified reconfigs. The clocks feed the
+  // time-to-detect / time-to-full-replication metrics; the replication
+  // clock restarts whenever another victim drops.
+  SimTime FirstSuspectAt = 0;
+  SimTime FullyReplicatedAt = 0;
+  size_t KillsSeen = 0;
+  bool MapProposalInFlight = false;
+  std::function<void()> HealTick;
+  if (Healing) {
+    for (size_t G = FirstData; G != Groups.size(); ++G) {
+      heal::HealerOptions HO;
+      HO.Seed = Seeds.Healer[G - FirstData];
+      HO.BaseBackoffUs = 100000;
+      HO.MaxBackoffUs = 1600000;
+      HO.CooldownUs = 400000;
+      Groups[G].Doc = std::make_unique<heal::Healer>(*Scheme, HO);
+      heal::Healer *Doc = Groups[G].Doc.get();
+      sim::Cluster &C = *Groups[G].C;
+      for (NodeId Id : C.universe())
+        C.node(Id).hooks().OnSuspicion =
+            [&, Doc](NodeId, NodeId Peer, bool SuspectedNow) {
+              if (!SuspectedNow) {
+                Doc->observeRecovered(Peer);
+                return;
+              }
+              Doc->observeSuspected(Peer);
+              if (!FirstSuspectAt)
+                FirstSuspectAt = Q.now();
+            };
+    }
+    const SimTime HealTickUs = 50000;
+    HealTick = [&, HealTickUs] {
+      SimTime Now = Q.now();
+      size_t Kills = 0;
+      for (size_t G = FirstData; G != Groups.size(); ++G)
+        Kills += Groups[G].N->killedForever().size();
+      if (Kills > KillsSeen) {
+        KillsSeen = Kills;
+        FullyReplicatedAt = 0;
+      }
+      bool AllFull = KillsSeen != 0;
+      for (size_t G = FirstData; G != Groups.size(); ++G) {
+        sim::Cluster &C = *Groups[G].C;
+        std::optional<NodeId> L = C.leader();
+        if (!L) {
+          AllFull = false;
+          continue;
+        }
+        if (!fullyReplicated(C, *Scheme, *L, Opts.Members))
+          AllFull = false;
+        heal::Healer *Doc = Groups[G].Doc.get();
+        if (std::optional<Config> P =
+                Doc->tick(Now, C.node(*L).config(), C.universe(), *L))
+          C.requestReconfig(
+              *P,
+              [&, Doc](bool Ok, SimTime) {
+                Doc->onReconfigResult(Ok, Q.now());
+              },
+              /*MaxTriesUs=*/1500000);
+        if (Pool && !MapProposalInFlight && !Doc->inFlight()) {
+          NodeSet Live = Scheme->mbrs(C.node(*L).config());
+          shard::PoolMap M = Pool->committedMap();
+          if (G < M.GroupReplicas.size() && !(M.GroupReplicas[G] == Live)) {
+            MapProposalInFlight = true;
+            Pool->proposeMap(
+                heal::withGroupReplicas(M, static_cast<GroupId>(G), Live),
+                [&](bool) { MapProposalInFlight = false; });
+          }
+        }
+      }
+      if (AllFull && FullyReplicatedAt == 0)
+        FullyReplicatedAt = Now;
+      if (Now + HealTickUs < End)
+        Q.scheduleAfter(HealTickUs, HealTick);
+    };
+    Q.scheduleAfter(HealTickUs, HealTick);
+  }
+
+  // Schedule the whole workload up front (invocation times and op mix
+  // are drawn now; effects happen in virtual time, and a pool routes
+  // each op per key at invocation). Every put writes a globally unique
+  // value, which is what makes per-key register linearizability
+  // checking discriminating.
+  Rng W(Seeds.Workload);
+  uint32_t NextVal = 1;
+  for (size_t I = 0; I != WL.NumOps; ++I) {
+    SimTime At = Start + W.nextBelow(Opts.Nemesis.HorizonUs);
+    uint32_t Key = static_cast<uint32_t>(W.nextBelow(WL.NumKeys));
+    unsigned Draw = static_cast<unsigned>(W.nextBelow(1000));
+    uint32_t Val = NextVal++;
+    Q.scheduleAt(At, [&Issue, Key, Draw, Val] { Issue(Key, Draw, Val); });
   }
 
   // Active window, then the fault-free quiescence tail. The queue never
   // drains (heartbeats), so the run is time-bounded.
-  C.queue().runUntil(Start + Opts.Nemesis.HorizonUs + Opts.QuiescenceUs);
-  H.finalize(C.queue().now());
+  Q.runUntil(End);
+  H.finalize(Q.now());
 
-  // Gather statistics.
+  // Statistics: workload outcomes from the (merged) history, network,
+  // ledger and store counters summed across groups, plus a pool's
+  // per-group breakdown.
   Result.OpsTotal = H.size();
   Result.OpsOk = H.countWithOutcome(Outcome::Ok);
   Result.OpsFailed = H.countWithOutcome(Outcome::Fail);
   Result.OpsIndeterminate = H.countWithOutcome(Outcome::Indeterminate);
-  Result.MessagesSent = C.messagesSent();
-  Result.DroppedByCut = C.messagesDroppedByCut();
-  Result.DroppedByLoss = C.messagesDroppedByLoss();
-  Result.Duplicated = C.messagesDuplicated();
-  Result.NemesisActions = N.trace().size();
-  Result.ReconfigsRequested = N.reconfigsRequested();
-  Result.ReconfigsCommitted = N.reconfigsCommitted();
-  Result.HealedAll = N.healedAll();
-  Result.CommittedEntries = Ledger.Entries.size();
-  Result.ClampedPastSchedules = C.queue().stats().ClampedPastSchedules;
-  Result.NemesisTrace = N.traceString();
+  Result.ClampedPastSchedules = Q.stats().ClampedPastSchedules;
+  for (GroupId G = 0; G != Groups.size(); ++G) {
+    const GroupRun &GR = Groups[G];
+    Result.MessagesSent += GR.C->messagesSent();
+    Result.DroppedByCut += GR.C->messagesDroppedByCut();
+    Result.DroppedByLoss += GR.C->messagesDroppedByLoss();
+    Result.Duplicated += GR.C->messagesDuplicated();
+    Result.CommittedEntries += GR.Ledger.Entries.size();
+    if (Durable)
+      Result.Store.accumulate(GR.C->storeStats());
+    if (!Pool)
+      continue;
+    ChaosRunResult::GroupStatsEntry GS;
+    GS.Group = G;
+    GS.CommittedEntries = GR.Ledger.Entries.size();
+    for (const ClientOp &Op : H.ops())
+      GS.Ops += Op.HasPlacement && Op.Group == G;
+    Result.GroupStats.push_back(GS);
+  }
+  bool HealedAll = true;
+  if (Driver) {
+    Result.NemesisActions = Driver->trace().size();
+    Result.ReconfigsRequested = Driver->requested();
+    Result.ReconfigsCommitted = Driver->committed();
+    Result.NemesisTrace = formatTrace(Driver->trace());
+  } else {
+    for (size_t G = FirstData; G != Groups.size(); ++G) {
+      const Nemesis &N = *Groups[G].N;
+      Result.NemesisActions += N.trace().size();
+      Result.ReconfigsRequested += N.reconfigsRequested();
+      Result.ReconfigsCommitted += N.reconfigsCommitted();
+      HealedAll = HealedAll && N.healedAll();
+      if (Pool)
+        Result.NemesisTrace += "group " + std::to_string(G) + ":\n";
+      Result.NemesisTrace += N.traceString();
+    }
+  }
+  Result.HealedAll = HealedAll;
   Result.HistoryText = H.str();
-
-  if (Durable)
-    Result.Store = C.storeStats();
+  if (Pool) {
+    Result.MapGeneration = Pool->committedMap().Generation;
+    Result.MapChangesCommitted = Pool->mapChangesCommitted();
+    Result.WrongGroupNacks = PoolKv->routeStats().WrongGroupNacks;
+    Result.MapRefreshes = PoolKv->routeStats().MapRefreshes;
+  }
 
   if (Healing) {
     // The tick only samples every 50ms; catch a catch-up that completed
     // between the last tick and the end of the run.
-    if (FullyReplicatedAt == 0 && KillsSeen != 0)
-      if (std::optional<NodeId> L = C.leader())
-        if (fullyReplicated(C, *Scheme, *L, Opts.Members))
-          FullyReplicatedAt = C.queue().now();
+    if (FullyReplicatedAt == 0 && KillsSeen != 0) {
+      bool AllFull = true;
+      for (size_t G = FirstData; G != Groups.size(); ++G) {
+        std::optional<NodeId> L = Groups[G].C->leader();
+        if (!L || !fullyReplicated(*Groups[G].C, *Scheme, *L, Opts.Members))
+          AllFull = false;
+      }
+      if (AllFull)
+        FullyReplicatedAt = Q.now();
+    }
     SimTime FirstKillAt = 0;
     SimTime FinalKillAt = 0;
-    for (const NemesisAction &A : N.trace())
-      if (A.Desc.rfind("kill-forever", 0) == 0) {
-        if (!FirstKillAt)
-          FirstKillAt = A.At;
-        FinalKillAt = A.At;
+    for (size_t G = FirstData; G != Groups.size(); ++G) {
+      const GroupRun &GR = Groups[G];
+      for (const NemesisAction &A : GR.N->trace())
+        if (A.Desc.rfind("kill-forever", 0) == 0) {
+          if (!FirstKillAt || A.At < FirstKillAt)
+            FirstKillAt = A.At;
+          if (A.At > FinalKillAt)
+            FinalKillAt = A.At;
+        }
+      Result.PermanentKills += GR.N->killedForever().size();
+      Result.HealReconfigsCommitted += GR.Doc->heals();
+      Result.HealReconfigRetries += GR.Doc->retries();
+      for (NodeId Id : GR.C->universe()) {
+        const core::RaftCore &Core = GR.C->node(Id).core();
+        Result.SnapshotBytesTransferred += Core.snapshotBytesReceived();
+        Result.SnapshotsInstalled += Core.snapshotsInstalled();
       }
-    Result.PermanentKills = N.killedForever().size();
-    Result.HealReconfigsCommitted = Doc->heals();
-    Result.HealReconfigRetries = Doc->retries();
-    for (NodeId Id : C.universe()) {
-      Result.SnapshotBytesTransferred +=
-          C.node(Id).core().snapshotBytesReceived();
-      Result.SnapshotsInstalled += C.node(Id).core().snapshotsInstalled();
     }
     if (FirstKillAt && FirstSuspectAt > FirstKillAt)
       Result.TimeToDetectUs = FirstSuspectAt - FirstKillAt;
@@ -271,7 +577,7 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
   }
 
   // Invariants.
-  if (!N.healedAll())
+  if (!HealedAll)
     Result.Violations.push_back("nemesis did not heal all faults");
   if (Healing && KillsSeen != 0) {
     // The point of the scenario: only reconfiguration can restore the
@@ -280,67 +586,103 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
       Result.Violations.push_back(
           "self-healing: cluster never returned to full replication after " +
           std::to_string(KillsSeen) + " permanent kills");
-    if (std::optional<NodeId> L = C.leader()) {
-      NodeSet FinalMembers = Scheme->mbrs(C.node(*L).config());
-      for (NodeId Dead : N.killedForever())
-        if (FinalMembers.contains(Dead))
+    for (size_t G = FirstData; G != Groups.size(); ++G) {
+      const GroupRun &GR = Groups[G];
+      std::optional<NodeId> L = GR.C->leader();
+      if (!L)
+        continue; // Flagged as "no leader" by the per-group walk below.
+      NodeSet Final = Scheme->mbrs(GR.C->node(*L).config());
+      for (NodeId Dead : GR.N->killedForever())
+        if (Final.contains(Dead))
           Result.Violations.push_back(
-              "self-healing: permanently killed S" + std::to_string(Dead) +
+              GR.Tag + "self-healing: permanently killed S" +
+              std::to_string(Dead) +
               " is still a member of the final configuration");
+      if (!Pool)
+        continue;
+      const shard::PoolMap &M = Pool->committedMap();
+      if (G < M.GroupReplicas.size() && !(M.GroupReplicas[G] == Final))
+        Result.Violations.push_back(
+            GR.Tag + "self-healing: committed pool map (" +
+            M.GroupReplicas[G].str() +
+            ") does not match the healed configuration " + Final.str());
     }
   }
-  // Store-backed recovery cross-checks: every restart's recovered
-  // term/vote/log must equal the idealized in-memory copy (only deferred
-  // commit records may be lost), and no directory may be unrecoverable.
-  for (const std::string &V : C.storeViolations())
-    Result.Violations.push_back("durable store: " + V);
-  if (Ledger.Violation)
-    Result.Violations.push_back(*Ledger.Violation);
-  if (std::optional<std::string> V = C.checkLeaderUniqueness())
-    Result.Violations.push_back("election safety: " + *V);
-  if (std::optional<std::string> V = C.checkCommittedAgreement())
-    Result.Violations.push_back("committed agreement: " + *V);
+  bool ReplicasAgree = true;
+  for (const GroupRun &GR : Groups) {
+    sim::Cluster &C = *GR.C;
+    // Store-backed recovery cross-checks: every restart's recovered
+    // term/vote/log must equal the idealized in-memory copy (only
+    // deferred commit records may be lost), and no directory may be
+    // unrecoverable.
+    for (const std::string &V : C.storeViolations())
+      Result.Violations.push_back(GR.Tag + "durable store: " + V);
+    if (GR.Ledger.Violation)
+      Result.Violations.push_back(GR.Tag + *GR.Ledger.Violation);
+    if (std::optional<std::string> V = C.checkLeaderUniqueness())
+      Result.Violations.push_back(GR.Tag + "election safety: " + *V);
+    if (std::optional<std::string> V = C.checkCommittedAgreement())
+      Result.Violations.push_back(GR.Tag + "committed agreement: " + *V);
+    if (GR.Kv && !GR.Kv->replicasAgree())
+      ReplicasAgree = false;
 
-  // Durability + convergence: after heal and quiescence, some node leads
-  // and every member of its configuration holds the full committed
-  // prefix (nothing committed was lost to any crash/restart/reconfig)
-  // with identical KV state.
-  std::optional<NodeId> FinalLeader = C.leader();
-  if (!FinalLeader) {
-    Result.Violations.push_back("no leader after heal + quiescence:\n" +
-                                C.dump());
-  } else {
+    // Durability + convergence: after heal and quiescence, some node
+    // leads and every member of its configuration holds the full
+    // committed prefix (nothing committed was lost to any crash,
+    // restart, reconfig or map change — for a migrated group the final
+    // members are exactly the new replica set) with identical KV state.
+    std::optional<NodeId> FinalLeader = C.leader();
+    if (!FinalLeader) {
+      Result.Violations.push_back(
+          GR.Tag + "no leader after heal + quiescence:\n" + C.dump());
+      continue;
+    }
     NodeSet FinalMembers = Scheme->mbrs(C.node(*FinalLeader).config());
     std::optional<NodeId> First;
     for (NodeId M : FinalMembers) {
       const sim::RaftNode &Node = C.node(M);
       if (Node.isCrashed()) {
-        Result.Violations.push_back("S" + std::to_string(M) +
+        Result.Violations.push_back(GR.Tag + "S" + std::to_string(M) +
                                     " still crashed after heal");
         continue;
       }
-      if (Node.commitIndex() < Ledger.Entries.size()) {
+      if (Node.commitIndex() < GR.Ledger.Entries.size()) {
         Result.Violations.push_back(
-            "durability: S" + std::to_string(M) + " commit index " +
+            GR.Tag + "durability: S" + std::to_string(M) + " commit index " +
             std::to_string(Node.commitIndex()) + " < committed ledger " +
-            std::to_string(Ledger.Entries.size()));
+            std::to_string(GR.Ledger.Entries.size()));
         continue;
       }
+      if (!GR.Kv)
+        continue; // No KV state to compare in the metadata group.
       if (!First) {
         First = M;
-      } else if (!(Store.replica(M) == Store.replica(*First))) {
-        Result.Violations.push_back("convergence: KV state of S" +
+      } else if (!(GR.Kv->replica(M) == GR.Kv->replica(*First))) {
+        Result.Violations.push_back(GR.Tag + "convergence: KV state of S" +
                                     std::to_string(M) + " differs from S" +
                                     std::to_string(*First));
       }
     }
   }
-  if (!Store.replicasAgree())
+  if (!ReplicasAgree)
     Result.Violations.push_back("replicas with equal applied counts "
                                 "disagree on KV state");
 
+  // Pool-map invariants: generation monotonicity at every observer, and
+  // the committed generation accounting for every installed change.
+  if (Pool) {
+    for (const std::string &V : Pool->mapViolations())
+      Result.Violations.push_back("pool map: " + V);
+    if (Result.MapGeneration != 1 + Result.MapChangesCommitted)
+      Result.Violations.push_back(
+          "pool map: committed generation " +
+          std::to_string(Result.MapGeneration) + " != 1 + " +
+          std::to_string(Result.MapChangesCommitted) + " installed changes");
+  }
+
   // The history check runs last so its (potentially long) explanation
-  // lands after the cheap invariant reports.
+  // lands after the cheap invariant reports. Keys never span groups, so
+  // a pool's merged history factors per key too.
   LinearizabilityResult Lin = checkLinearizability(H);
   Result.LinStatesExplored = Lin.StatesExplored;
   if (!Lin.Ok)

@@ -55,10 +55,10 @@ struct ChaosRunOptions {
   SchemeKind Scheme = SchemeKind::RaftSingleNode;
   size_t Members = 3;
   size_t Spares = 2;
-  /// Number of data consensus groups. 1 runs the original single-group
-  /// harness byte-for-byte; >1 (or Scenario::ShardReconfig) runs the
-  /// sharded pool: a metadata group replicating the pool map plus
-  /// Groups data groups, with the workload routed per key.
+  /// Number of data consensus groups. 1 runs one group with no pool;
+  /// >1 (or Scenario::ShardReconfig, which needs a metadata group even
+  /// over one data group) runs a pool: a metadata group replicating the
+  /// pool map plus Groups data groups, with the workload routed per key.
   size_t Groups = 1;
   /// Shards the keyspace is split into for sharded runs (jump hash).
   uint32_t Shards = 16;
@@ -184,18 +184,13 @@ struct ChaosRunResult {
 };
 
 /// Runs one scenario to completion. Deterministic in (Opts, Seed).
-/// Dispatches to the sharded harness (chaos/ShardRun.cpp) when
-/// Opts.Groups > 1 or the scenario is Scenario::ShardReconfig.
+/// Every per-group step (ledger, nemesis, healer, statistics, checks)
+/// loops over the groups under test: one group, or the metadata group
+/// plus Opts.Groups data groups of a pool, whose runs add the pool-map
+/// invariants (generation monotonicity, no committed entry lost across
+/// a map change) on top of the per-key linearizability of the merged
+/// history.
 ChaosRunResult runChaosScenario(const ChaosRunOptions &Opts, uint64_t Seed);
-
-/// The sharded-pool harness: N data groups plus the metadata group on
-/// one timeline, the workload routed per key through the pool map, and
-/// the cross-shard invariants (per-group ledgers, generation
-/// monotonicity, no committed entry lost across a map change) checked
-/// on top of the per-key linearizability of the merged history.
-/// Normally reached via runChaosScenario's dispatch.
-ChaosRunResult runShardedChaosScenario(const ChaosRunOptions &Opts,
-                                       uint64_t Seed);
 
 } // namespace chaos
 } // namespace adore

@@ -97,7 +97,8 @@ void Nemesis::record(const std::string &Desc) {
   Trace.push_back(NemesisAction{C->queue().now(), Desc});
 }
 
-std::string Nemesis::traceString() const {
+std::string
+adore::chaos::formatTrace(const std::vector<NemesisAction> &Trace) {
   std::string Out;
   for (const NemesisAction &A : Trace) {
     Out += std::to_string(A.At);

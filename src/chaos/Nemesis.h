@@ -104,6 +104,10 @@ struct NemesisAction {
   std::string Desc;
 };
 
+/// Canonical rendering of an action trace ("<at> <desc>" per line),
+/// byte-comparable across reruns. Shared by every fault driver.
+std::string formatTrace(const std::vector<NemesisAction> &Trace);
+
 /// The scheduler. Construct, then start(); all subsequent behaviour is
 /// events on the cluster's queue, fully determined by (cluster, seed).
 class Nemesis {
@@ -116,7 +120,7 @@ public:
 
   const std::vector<NemesisAction> &trace() const { return Trace; }
   /// Canonical rendering of the trace, byte-comparable across reruns.
-  std::string traceString() const;
+  std::string traceString() const { return formatTrace(Trace); }
 
   /// True once the horizon heal ran: no fault outlives it.
   bool healedAll() const { return HealedAll; }

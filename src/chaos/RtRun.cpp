@@ -3,12 +3,24 @@
 // Part of the Adore reproduction. Distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
+//
+// One driver for every rt run shape: a single RtCluster, or a meta + N
+// data group pool (rt::ShardedRtCluster) on one shared transport with a
+// routing client stamping every keyed write with its cached map
+// generation. Each scenario is one per-group script that runs on each
+// data group in turn; a pool re-syncs the pool map with the group's
+// live configuration after every script. Nothing here is deterministic;
+// the point is safety under genuine thread interleaving (this path runs
+// under TSan in CI).
+//
+//===----------------------------------------------------------------------===//
 
 #include "chaos/RtRun.h"
 
 #include "heal/Healer.h"
 #include "read/ReadPath.h"
-#include "rt/RtCluster.h"
+#include "rt/ShardedRt.h"
+#include "support/Rng.h"
 #include "support/Sync.h"
 
 #include <chrono>
@@ -16,42 +28,71 @@
 
 using namespace adore;
 using namespace adore::chaos;
+using adore::shard::GroupId;
 
 namespace {
 
-/// Picks a member other than \p Leader (the highest id, for
-/// reproducibility of the choice itself).
-NodeId pickVictim(size_t Members, NodeId Leader) {
-  for (NodeId Id = static_cast<NodeId>(Members); Id >= 1; --Id)
-    if (Id != Leader)
-      return Id;
-  return InvalidNodeId;
+void sleepMs(uint64_t Ms) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(Ms));
 }
 
-Config configWithout(size_t Members, NodeId Removed) {
+/// Picks a member of \p Members other than \p Leader (highest id first,
+/// for reproducibility of the choice itself).
+NodeId pickVictim(const NodeSet &Members, NodeId Leader) {
+  NodeId Best = InvalidNodeId;
+  for (NodeId Id : Members)
+    if (Id != Leader && (Best == InvalidNodeId || Id > Best))
+      Best = Id;
+  return Best;
+}
+
+Config configWithout(const NodeSet &Members, NodeId Removed) {
   NodeSet S;
-  for (size_t I = 1; I <= Members; ++I)
-    if (static_cast<NodeId>(I) != Removed)
-      S.insert(static_cast<NodeId>(I));
+  for (NodeId Id : Members)
+    if (Id != Removed)
+      S.insert(Id);
   return Config(S);
 }
 
-void sleepMs(uint64_t Ms) {
-  std::this_thread::sleep_for(std::chrono::milliseconds(Ms));
+/// Full strength for one group: the leader's configuration has at least
+/// \p Target members, all alive, active and holding the leader's commit
+/// prefix.
+bool fullyReplicated(rt::RtCluster &Grp, size_t Target) {
+  NodeId L = Grp.waitForLeader(100);
+  if (L == InvalidNodeId)
+    return false;
+  rt::RtNodeStatus LS = Grp.nodeStatus(L);
+  NodeSet Members = Grp.scheme().mbrs(LS.Conf);
+  if (Members.size() < Target)
+    return false;
+  for (NodeId M : Members) {
+    rt::RtNodeStatus S = Grp.nodeStatus(M);
+    if (S.Crashed || S.Passive || S.LogSize < LS.CommitIndex)
+      return false;
+  }
+  return true;
 }
 
 } // namespace
 
 ChaosRunResult adore::chaos::runRtScenario(const RtRunOptions &Opts,
                                            uint64_t Seed) {
-  // Multi-group requests (and the migration scenario, which needs a
-  // metadata group even over one data group) take the sharded harness.
-  if (Opts.Groups > 1 || Opts.Kind == Scenario::ShardReconfig)
-    return runShardedRtScenario(Opts, Seed);
-
   ChaosRunResult Result;
   Result.Seed = Seed;
   Result.Kind = Opts.Kind;
+
+  Rng Master(Seed);
+  uint64_t ClusterSeed = Master.next();
+  uint64_t ScenarioSeed = Master.next();
+  uint64_t WorkloadSeed = Master.next();
+
+  // Multi-group runs, and the migration scenario (which needs a metadata
+  // group even over one data group), run a pool; everything else is one
+  // group with no pool.
+  bool IsPool = Opts.Groups > 1 || Opts.Kind == Scenario::ShardReconfig;
+  size_t DataGroups = IsPool ? std::max<size_t>(1, Opts.Groups) : 1;
+  GroupId FirstData = IsPool ? 1 : 0;
+  GroupId EndGroup = static_cast<GroupId>(FirstData + DataGroups);
 
   // Wall-clock microseconds since run start: the healer's backoff clock
   // and the healing latency metrics (rt runs live on the real clock).
@@ -63,19 +104,12 @@ ChaosRunResult adore::chaos::runRtScenario(const RtRunOptions &Opts,
             .count());
   };
 
-  bool Healing = Opts.Kind == Scenario::KillForever;
-  Result.Healing = Healing;
-  // The suspicion tap runs on node worker threads; HealMu serializes it
-  // against the main thread's healer ticks. Declared before the cluster
-  // so the workers never outlive what the tap captures.
-  sync::Mutex HealMu;
-  std::optional<heal::Healer> Doc;
-  uint64_t FirstSuspectUs = 0;
-
+  // The group template; a pool overwrites the per-group fields.
   rt::RtClusterOptions CO;
   CO.Scheme = Opts.Scheme;
   CO.NumNodes = Opts.Members;
-  CO.Seed = Seed;
+  CO.NumSpares = Opts.Spares;
+  CO.Seed = ClusterSeed;
   CO.Transport = Opts.Transport;
   // The read-path scenario: the rt runtime lives on the real clock (no
   // skew to inject — loopback clocks agree), so what it buys is the
@@ -94,196 +128,340 @@ ChaosRunResult adore::chaos::runRtScenario(const RtRunOptions &Opts,
                      .MaxDriftPpm = 100000},
                     CO.Node);
   }
-  CO.DurableStore =
-      Opts.DurableStore || Opts.Kind == Scenario::DiskFaults;
+  CO.DurableStore = Opts.DurableStore || Opts.Kind == Scenario::DiskFaults;
   if (CO.DurableStore)
     CO.StoreFaults = ChaosRunOptions::defaultStoreFaults();
   Result.DurableStore = CO.DurableStore;
+
+  // Self-healing setup (kill-forever only): one Healer per data group,
+  // fed by the suspicion tap. Node ids are group-spaced
+  // (shard::groupIdBase), so the observing node's id names the group.
+  // The tap runs on node worker threads; HealMu serializes it against
+  // the harness thread's healer ticks. Declared before the clusters so
+  // the workers never outlive what the tap captures.
+  bool Healing = Opts.Kind == Scenario::KillForever;
+  Result.Healing = Healing;
+  sync::Mutex HealMu;
+  std::unique_ptr<ReconfigScheme> HealScheme;
+  std::vector<std::unique_ptr<heal::Healer>> Healers;
+  uint64_t FirstSuspectUs = 0;
   if (Healing) {
-    CO.NumSpares = Opts.Spares;
     CO.Node.EnableSuspicion = true;
     CO.Node.EnableSnapshotCatchup = true;
     CO.Node.SnapshotLagEntries = 8;
-    CO.OnSuspicion = [&](NodeId, NodeId Peer, bool SuspectedNow) {
+    HealScheme = makeScheme(Opts.Scheme);
+    Healers.resize(EndGroup);
+    for (GroupId G = FirstData; G != EndGroup; ++G) {
+      heal::HealerOptions HO;
+      HO.Seed = Seed ^ (0x4EA1D05EULL + G);
+      HO.BaseBackoffUs = 50000;
+      HO.MaxBackoffUs = 800000;
+      HO.CooldownUs = 100000;
+      HO.TargetReplication = Opts.Members;
+      Healers[G] = std::make_unique<heal::Healer>(*HealScheme, HO);
+    }
+    CO.OnSuspicion = [&](NodeId Observer, NodeId Peer, bool SuspectedNow) {
+      size_t G = Observer / 1000;
       sync::MutexLock L(HealMu);
-      if (!Doc)
+      if (G >= Healers.size() || !Healers[G])
         return;
       if (SuspectedNow) {
-        Doc->observeSuspected(Peer);
+        Healers[G]->observeSuspected(Peer);
         if (!FirstSuspectUs)
           FirstSuspectUs = NowUs();
       } else {
-        Doc->observeRecovered(Peer);
+        Healers[G]->observeRecovered(Peer);
       }
     };
   }
-  rt::RtCluster C(CO);
-  if (Healing) {
-    heal::HealerOptions HO;
-    HO.Seed = Seed ^ 0x4EA1D05EULL;
-    HO.BaseBackoffUs = 50000;
-    HO.MaxBackoffUs = 800000;
-    HO.CooldownUs = 100000;
-    HO.TargetReplication = Opts.Members;
-    sync::MutexLock L(HealMu);
-    Doc.emplace(C.scheme(), HO);
-  }
-  C.start();
 
+  // Construction: the groups under test are the one cluster, or the
+  // metadata group (index 0) plus the data groups of a pool.
+  std::unique_ptr<rt::RtCluster> Single;
+  std::unique_ptr<rt::ShardedRtCluster> Pool;
+  std::vector<rt::RtCluster *> Groups;
+  if (IsPool) {
+    rt::ShardedRtOptions SO;
+    SO.Group = CO;
+    SO.Groups = DataGroups;
+    SO.NumShards = Opts.Shards;
+    SO.Members = Opts.Members;
+    SO.Spares = Opts.Spares;
+    SO.MetaMembers = Opts.Members;
+    Pool = std::make_unique<rt::ShardedRtCluster>(SO);
+    for (GroupId G = 0; G != EndGroup; ++G)
+      Groups.push_back(&Pool->group(G));
+  } else {
+    Single = std::make_unique<rt::RtCluster>(CO);
+    Groups.push_back(Single.get());
+  }
+  auto TagOf = [&](GroupId G) -> std::string {
+    if (!Pool)
+      return "rt: ";
+    return G == shard::MetaGroupId ? "rt meta: "
+                                   : "rt group " + std::to_string(G) + ": ";
+  };
+  for (rt::RtCluster *Grp : Groups)
+    Grp->start();
+
+  // The submit path: a direct submitAndWait on the one group, or — in a
+  // pool — the routing client. Its Perform round-trips the request and
+  // reply through the wire codecs (the rt path carries frames, so
+  // exercise the framing), validates ingress against the committed map,
+  // and executes accepted writes as a submitAndWait on the owning
+  // group. Per-group executed-op counters are written only from the
+  // harness thread (Perform runs synchronously inside submit).
+  std::vector<size_t> OpsByGroup(EndGroup, 0);
+  std::optional<shard::ShardedKvClient> Client;
+  Rng W(WorkloadSeed);
+  std::function<bool(MethodId)> SubmitOne;
+  if (Pool) {
+    shard::ShardedKvClient::Transport T;
+    T.Perform = [&](const shard::RouteRequest &R,
+                    shard::ShardedKvClient::ReplyFn Done) {
+      std::string Frame;
+      shard::encodeRouteRequest(Frame, R);
+      shard::RouteRequest Req;
+      shard::GroupReply Reply;
+      if (!shard::decodeRouteRequest(Frame, Req)) {
+        Done(Reply); // Ok=false: a malformed frame is a definite failure.
+        return;
+      }
+      if (std::optional<shard::WrongGroupNack> N =
+              Pool->ingressCheck(Req.Group, Req.Shard, Req.MapGen)) {
+        Reply.HasNack = true;
+        Reply.Nack = *N;
+      } else {
+        Reply.Ok = Pool->group(Req.Group).submitAndWait(Req.Payload,
+                                                        Opts.OpTimeoutMs);
+        ++OpsByGroup[Req.Group];
+      }
+      std::string ReplyFrame;
+      shard::encodeGroupReply(ReplyFrame, Reply);
+      shard::GroupReply Decoded;
+      if (shard::decodeGroupReply(ReplyFrame, Decoded))
+        Done(Decoded);
+      else
+        Done(shard::GroupReply{});
+    };
+    T.FetchMap = [&](shard::ShardedKvClient::MapFn Done) {
+      Done(Pool->committedMap());
+    };
+    // Perform runs synchronously on the harness thread, so a blocking
+    // sleep paces the retry loop without touching any worker thread.
+    T.Sleep = [](uint64_t DelayUs, std::function<void()> Resume) {
+      std::this_thread::sleep_for(std::chrono::microseconds(DelayUs));
+      Resume();
+    };
+    shard::BackoffOptions ClientBackoff;
+    ClientBackoff.Seed = WorkloadSeed ^ 0xBAC0FFULL;
+    ClientBackoff.BaseUs = 500;
+    ClientBackoff.MaxUs = 8000;
+    Client.emplace(Pool->committedMap(), std::move(T), ClientBackoff);
+    SubmitOne = [&](MethodId Method) {
+      bool Ok = false;
+      Client->submit(W.nextBelow(64), Method, /*IsRead=*/false,
+                     [&Ok](const shard::GroupReply &Rep) { Ok = Rep.Ok; });
+      return Ok;
+    };
+  } else {
+    SubmitOne = [&](MethodId Method) {
+      return Single->submitAndWait(Method, Opts.OpTimeoutMs);
+    };
+  }
   auto Submit = [&](size_t Count) {
     for (size_t I = 0; I != Count; ++I) {
       ++Result.OpsTotal;
-      if (C.submitAndWait(/*Method=*/1 + (Result.OpsTotal % 7),
-                          Opts.OpTimeoutMs))
+      if (SubmitOne(/*Method=*/1 + (Result.OpsTotal % 7)))
         ++Result.OpsOk;
       else
         ++Result.OpsFailed;
     }
   };
-  auto Reconfig = [&](const Config &To, const char *What) {
-    ++Result.ReconfigsRequested;
-    if (C.reconfigAndWait(To, Opts.ConvergeTimeoutMs)) {
-      ++Result.ReconfigsCommitted;
-      return true;
+  auto AllLead = [&] {
+    for (rt::RtCluster *Grp : Groups)
+      if (Grp->waitForLeader(Opts.ConvergeTimeoutMs) == InvalidNodeId)
+        return false;
+    return true;
+  };
+
+  // The kill-forever heal loop: tick the group's Healer against its
+  // current leader and commit whatever it proposes, until the group is
+  // back at full strength or the budget runs out.
+  auto HealStep = [&](GroupId G) {
+    rt::RtCluster &Grp = *Groups[G];
+    NodeId L = Grp.waitForLeader(100);
+    if (L == InvalidNodeId)
+      return;
+    Config Cur = Grp.nodeStatus(L).Conf;
+    std::optional<Config> P;
+    {
+      sync::MutexLock Lk(HealMu);
+      P = Healers[G]->tick(NowUs(), Cur, Grp.universe(), L);
     }
-    Result.Violations.push_back(std::string("rt: ") + What +
-                                " never committed");
+    if (!P)
+      return;
+    ++Result.ReconfigsRequested;
+    bool Ok = Grp.reconfigAndWait(*P, Opts.ConvergeTimeoutMs);
+    if (Ok)
+      ++Result.ReconfigsCommitted;
+    sync::MutexLock Lk(HealMu);
+    Healers[G]->onReconfigResult(Ok, NowUs());
+  };
+  auto HealUntilFull = [&](GroupId G, uint64_t KillUs) {
+    uint64_t Deadline = KillUs + 3 * Opts.ConvergeTimeoutMs * 1000;
+    while (NowUs() < Deadline) {
+      if (fullyReplicated(*Groups[G], Opts.Members))
+        return true;
+      HealStep(G);
+      sleepMs(20);
+    }
     return false;
   };
 
-  NodeId Leader = C.waitForLeader(Opts.ConvergeTimeoutMs);
-  if (Leader == InvalidNodeId) {
-    Result.Violations.push_back("rt: no leader elected at startup");
-  } else {
-    size_t Half = Opts.NumOps / 2;
-    Submit(Half);
+  // Routing state follows the group: commit a map naming the group's
+  // live replica set, or flag the run if the generation-CAS never lands.
+  auto ResyncMap = [&](GroupId G) {
+    rt::RtCluster &Grp = *Groups[G];
+    for (int Try = 0; Try != 5; ++Try) {
+      NodeId L = Grp.waitForLeader(Opts.ConvergeTimeoutMs);
+      if (L == InvalidNodeId)
+        break;
+      NodeSet Live = Grp.scheme().mbrs(Grp.nodeStatus(L).Conf);
+      shard::PoolMap M = Pool->committedMap();
+      if (M.GroupReplicas[G] == Live ||
+          Pool->proposeMap(heal::withGroupReplicas(M, G, Live),
+                           Opts.ConvergeTimeoutMs))
+        return;
+    }
+    Result.Violations.push_back(
+        TagOf(G) + "pool map never caught up with the group's configuration");
+  };
 
-    NodeId Victim = pickVictim(Opts.Members, Leader);
+  uint64_t FirstKillUs = 0;
+  Rng R(ScenarioSeed);
+  // One scenario script, run on one data group.
+  auto Script = [&](GroupId G) {
+    rt::RtCluster &Grp = *Groups[G];
+    std::string Tag = TagOf(G);
+    auto Reconfig = [&](const Config &To, const char *What) {
+      ++Result.ReconfigsRequested;
+      if (Grp.reconfigAndWait(To, Opts.ConvergeTimeoutMs)) {
+        ++Result.ReconfigsCommitted;
+        return true;
+      }
+      Result.Violations.push_back(Tag + What + " never committed");
+      return false;
+    };
+    NodeId Leader = Grp.waitForLeader(Opts.ConvergeTimeoutMs);
+    if (Leader == InvalidNodeId) {
+      Result.Violations.push_back(Tag + "no leader to run the scenario");
+      return;
+    }
+    NodeSet Initial = Grp.scheme().mbrs(Grp.initialConfig());
+    NodeId Victim = pickVictim(Initial, Leader);
     switch (Opts.Kind) {
     case Scenario::Reconfigs:
       // Two full hot cycles: remove a follower, bring it back, twice.
       for (int Round = 0; Round != 2; ++Round) {
-        Reconfig(configWithout(Opts.Members, Victim), "removal reconfig");
-        Reconfig(C.initialConfig(), "re-add reconfig");
+        Reconfig(configWithout(Initial, Victim), "removal reconfig");
+        Reconfig(Grp.initialConfig(), "re-add reconfig");
       }
       break;
     case Scenario::CrashMidReconfig:
       // Crash the node being removed while its removal is in flight:
       // the remaining members must commit it without the victim.
-      C.crash(Victim);
-      Reconfig(configWithout(Opts.Members, Victim),
-               "removal with crashed subject");
-      C.restart(Victim);
-      Reconfig(C.initialConfig(), "re-add after restart");
+      Grp.crash(Victim);
+      Reconfig(configWithout(Initial, Victim), "removal with crashed subject");
+      Grp.restart(Victim);
+      Reconfig(Grp.initialConfig(), "re-add after restart");
       break;
     case Scenario::Mixed:
       // One crash/restart cycle plus one reconfig cycle.
-      C.crash(Victim);
+      Grp.crash(Victim);
       Submit(2);
-      C.restart(Victim);
-      if (Reconfig(configWithout(Opts.Members, Victim), "mixed removal"))
-        Reconfig(C.initialConfig(), "mixed re-add");
+      Grp.restart(Victim);
+      if (Reconfig(configWithout(Initial, Victim), "mixed removal"))
+        Reconfig(Grp.initialConfig(), "mixed re-add");
       break;
     case Scenario::ShardReconfig:
-      // Unreachable: dispatched to runShardedRtScenario above. Listed
-      // so the switch stays exhaustive under -Werror=switch.
+      // Live migrations: commit a pool map naming the group's next
+      // replica set, then hot-reconfigure the group to match. Two
+      // rounds, traffic in between — stale-stamped ops after each map
+      // change earn NACKs and drive the client's refetch loop.
+      for (int Round = 0; Round != 2 && Grp.scheme().allowsReconfig();
+           ++Round) {
+        Leader = Grp.waitForLeader(Opts.ConvergeTimeoutMs);
+        // Only candidates keeping the current leader: the core refuses
+        // a reconfig that removes the leader itself, so anything else
+        // would just spin until leadership happens to move.
+        std::vector<Config> Cands;
+        for (const Config &C :
+             Grp.scheme().candidateReconfigs(Grp.currentConfig(),
+                                             Grp.universe()))
+          if (Leader != InvalidNodeId && Grp.scheme().mbrs(C).contains(Leader))
+            Cands.push_back(C);
+        if (Cands.empty())
+          continue;
+        Config Next = R.pick(Cands);
+        shard::PoolMap NewMap = Pool->committedMap();
+        ++NewMap.Generation;
+        NewMap.GroupReplicas[G] = Grp.scheme().mbrs(Next);
+        NewMap.Roster = NewMap.Roster.unionWith(NewMap.GroupReplicas[G]);
+        ++Result.ReconfigsRequested;
+        // Failures here are not violations — the rt runtime is honestly
+        // nondeterministic (leadership can move mid-migration), and the
+        // sim driver treats timed-out migrations the same way. The map
+        // re-sync and the invariants below still hold either way.
+        if (!Pool->proposeMap(NewMap, Opts.ConvergeTimeoutMs))
+          continue;
+        if (Grp.reconfigAndWait(Next, Opts.ConvergeTimeoutMs))
+          ++Result.ReconfigsCommitted;
+        Submit(2);
+      }
       break;
-    case Scenario::KillForever: {
+    case Scenario::KillForever:
       // Permanent kills: the victim never restarts, so only the healing
       // pipeline — the suspicion tap feeding the Healer, certified
       // reconfigs swapping spares in, snapshot catch-up for the
       // replacement — can restore the replication factor. One kill per
       // round, each of which must heal before the next.
-      auto FullyReplicated = [&]() -> bool {
-        NodeId L = C.waitForLeader(100);
-        if (L == InvalidNodeId)
-          return false;
-        rt::RtNodeStatus LS = C.nodeStatus(L);
-        NodeSet Members = C.scheme().mbrs(LS.Conf);
-        if (Members.size() < Opts.Members)
-          return false;
-        for (NodeId M : Members) {
-          rt::RtNodeStatus S = C.nodeStatus(M);
-          if (S.Crashed || S.Passive || S.LogSize < LS.CommitIndex)
-            return false;
-        }
-        return true;
-      };
-      auto HealStep = [&] {
-        NodeId L = C.waitForLeader(100);
-        if (L == InvalidNodeId)
-          return;
-        Config Cur = C.nodeStatus(L).Conf;
-        std::optional<Config> P;
-        {
-          sync::MutexLock Lk(HealMu);
-          P = Doc->tick(NowUs(), Cur, C.universe(), L);
-        }
-        if (!P)
-          return;
-        ++Result.ReconfigsRequested;
-        bool Ok = C.reconfigAndWait(*P, Opts.ConvergeTimeoutMs);
-        if (Ok)
-          ++Result.ReconfigsCommitted;
-        sync::MutexLock Lk(HealMu);
-        Doc->onReconfigResult(Ok, NowUs());
-      };
-
-      uint64_t FirstKillUs = 0;
-      size_t Kills = Opts.Spares < 2 ? Opts.Spares : 2;
-      for (size_t K = 0; K != Kills; ++K) {
-        NodeId L = C.waitForLeader(Opts.ConvergeTimeoutMs);
+      for (size_t K = 0; K != std::min<size_t>(Opts.Spares, 2); ++K) {
+        NodeId L = Grp.waitForLeader(Opts.ConvergeTimeoutMs);
         if (L == InvalidNodeId) {
-          Result.Violations.push_back("rt self-healing: no leader to "
-                                      "observe the kill");
+          Result.Violations.push_back(Tag + "self-healing: no leader to "
+                                            "observe the kill");
           break;
         }
         // Victim: the highest-id live member that is not the leader.
         NodeId KillVictim = InvalidNodeId;
-        for (NodeId M : C.scheme().mbrs(C.nodeStatus(L).Conf))
-          if (M != L && !C.nodeStatus(M).Crashed)
+        for (NodeId M : Grp.scheme().mbrs(Grp.nodeStatus(L).Conf))
+          if (M != L && !Grp.nodeStatus(M).Crashed)
             KillVictim = M;
         if (KillVictim == InvalidNodeId)
           break;
-        C.crash(KillVictim);
+        Grp.crash(KillVictim);
         ++Result.PermanentKills;
         uint64_t KillUs = NowUs();
         if (!FirstKillUs)
           FirstKillUs = KillUs;
         Submit(2);
-
-        bool Healed = false;
-        uint64_t Deadline = KillUs + 3 * Opts.ConvergeTimeoutMs * 1000;
-        while (NowUs() < Deadline) {
-          if (FullyReplicated()) {
-            Healed = true;
-            break;
-          }
-          HealStep();
-          sleepMs(20);
-        }
-        if (!Healed) {
+        if (!HealUntilFull(G, KillUs)) {
           Result.Violations.push_back(
-              "rt self-healing: cluster never returned to full "
-              "replication after kill " +
+              Tag + "self-healing: never returned to full replication "
+                    "after kill " +
               std::to_string(K + 1));
           break;
         }
         Result.TimeToFullReplicationUs = NowUs() - KillUs;
       }
-      {
-        sync::MutexLock Lk(HealMu);
-        if (FirstKillUs && FirstSuspectUs > FirstKillUs)
-          Result.TimeToDetectUs = FirstSuspectUs - FirstKillUs;
-      }
       break;
-    }
     case Scenario::ClockDrift: {
       auto Read = [&](bool AtFollower) {
         ++Result.ReadsIssued;
         if (AtFollower)
           ++Result.ReadsAtFollower;
-        if (C.readAndWait(Opts.OpTimeoutMs, AtFollower))
+        if (Grp.readAndWait(Opts.OpTimeoutMs, AtFollower))
           ++Result.ReadsOk;
         else
           ++Result.ReadsFailed;
@@ -297,11 +475,11 @@ ChaosRunResult adore::chaos::runRtScenario(const RtRunOptions &Opts,
         }
         // Reads must keep resolving while a replica is down (the
         // leader's quorum round and lease survive one crash of three).
-        C.crash(Victim);
+        Grp.crash(Victim);
         Submit(1);
         Read(/*AtFollower=*/false);
         sleepMs(50);
-        C.restart(Victim);
+        Grp.restart(Victim);
         sleepMs(50);
       }
       break;
@@ -312,46 +490,95 @@ ChaosRunResult adore::chaos::runRtScenario(const RtRunOptions &Opts,
     case Scenario::NetChaos:
     case Scenario::SplitBrain:
     case Scenario::DiskFaults:
-      // Crash-flavored mapping for the network scenarios: the rt bus
-      // has no cuttable links, so fault pressure comes from losing and
-      // recovering a replica (twice, with traffic in between). Listed
-      // explicitly (no default) so a new Scenario forces a decision
-      // here under -Werror=switch instead of inheriting this mapping.
+      // Crash-flavored mapping for the network scenarios: the rt
+      // transports have no cuttable links, so fault pressure comes from
+      // losing and recovering a replica (twice, with traffic in
+      // between). Listed explicitly (no default) so a new Scenario
+      // forces a decision here under -Werror=switch instead of
+      // inheriting this mapping.
       for (int Round = 0; Round != 2; ++Round) {
-        C.crash(Victim);
+        Grp.crash(Victim);
         Submit(2);
         sleepMs(50);
-        C.restart(Victim);
+        Grp.restart(Victim);
         sleepMs(50);
       }
       break;
     }
+  };
 
+  if (!AllLead()) {
+    Result.Violations.push_back("rt: not every group elected a leader "
+                                "at startup");
+  } else {
+    size_t Half = Opts.NumOps / 2;
+    Submit(Half);
+    for (GroupId G = FirstData; G != EndGroup; ++G) {
+      Script(G);
+      if (Pool)
+        ResyncMap(G);
+    }
+    if (Healing) {
+      sync::MutexLock Lk(HealMu);
+      if (FirstKillUs && FirstSuspectUs > FirstKillUs)
+        Result.TimeToDetectUs = FirstSuspectUs - FirstKillUs;
+    }
     Submit(Opts.NumOps - Half);
     // Everything was healed inline; give in-flight appends one beat to
     // drain before the final audit.
-    if (C.waitForLeader(Opts.ConvergeTimeoutMs) == InvalidNodeId)
-      Result.Violations.push_back("rt: no leader after faults healed");
+    if (!AllLead())
+      Result.Violations.push_back("rt: not every group has a leader "
+                                  "after faults healed");
     sleepMs(100);
   }
 
   Result.HealedAll = true;
-  C.stop();
-  for (const std::string &V : C.checkFinalAgreement())
-    Result.Violations.push_back("rt: " + V);
-  Result.CommittedEntries = C.committedCount();
-  if (Result.DurableStore)
-    Result.Store = C.storeStats();
+  for (rt::RtCluster *Grp : Groups)
+    Grp->stop();
+
   if (Healing) {
     // Workers are joined: the cores are safe to inspect directly.
-    for (NodeId Id : C.universe()) {
-      const core::RaftCore &Core = C.coreForInspection(Id);
-      Result.SnapshotBytesTransferred += Core.snapshotBytesReceived();
-      Result.SnapshotsInstalled += Core.snapshotsInstalled();
+    for (GroupId G = FirstData; G != EndGroup; ++G) {
+      for (NodeId Id : Groups[G]->universe()) {
+        const core::RaftCore &Core = Groups[G]->coreForInspection(Id);
+        Result.SnapshotBytesTransferred += Core.snapshotBytesReceived();
+        Result.SnapshotsInstalled += Core.snapshotsInstalled();
+      }
+      sync::MutexLock Lk(HealMu);
+      Result.HealReconfigsCommitted += Healers[G]->heals();
+      Result.HealReconfigRetries += Healers[G]->retries();
     }
-    sync::MutexLock Lk(HealMu);
-    Result.HealReconfigsCommitted = Doc->heals();
-    Result.HealReconfigRetries = Doc->retries();
+  }
+
+  for (GroupId G = 0; G != Groups.size(); ++G) {
+    rt::RtCluster &Grp = *Groups[G];
+    for (const std::string &V : Grp.checkFinalAgreement())
+      Result.Violations.push_back(TagOf(G) + V);
+    Result.CommittedEntries += Grp.committedCount();
+    if (Result.DurableStore)
+      Result.Store.accumulate(Grp.storeStats());
+    if (!Pool)
+      continue;
+    ChaosRunResult::GroupStatsEntry GS;
+    GS.Group = G;
+    GS.CommittedEntries = Grp.committedCount();
+    GS.Ops = OpsByGroup[G];
+    Result.GroupStats.push_back(GS);
+  }
+
+  if (Pool) {
+    const shard::RouteStats &RS = Client->stats();
+    Result.WrongGroupNacks = RS.WrongGroupNacks;
+    Result.MapRefreshes = RS.MapRefreshes;
+    Result.MapGeneration = Pool->committedMap().Generation;
+    Result.MapChangesCommitted = Pool->mapChangesCommitted();
+    for (const std::string &V : Pool->mapViolations())
+      Result.Violations.push_back("pool map: " + V);
+    if (Result.MapGeneration != 1 + Result.MapChangesCommitted)
+      Result.Violations.push_back(
+          "pool map: generation " + std::to_string(Result.MapGeneration) +
+          " != 1 + " + std::to_string(Result.MapChangesCommitted) +
+          " committed changes");
   }
   return Result;
 }

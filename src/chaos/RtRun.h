@@ -10,7 +10,8 @@
 /// message bus, and the wall clock. The rt runtime's only fault
 /// primitive is state-level crash/restart (there is no virtual network
 /// to cut), so the network-flavored scenarios map onto crash schedules;
-/// reconfig scenarios run real hot membership changes. Runs are NOT
+/// reconfig scenarios run real hot membership changes. Each scenario is
+/// one per-group script, run on each data group in turn. Runs are NOT
 /// deterministic — thread scheduling is genuine — which is exactly the
 /// point: this is the harness the thread sanitizer watches in CI.
 ///
@@ -29,14 +30,15 @@ namespace chaos {
 struct RtRunOptions {
   SchemeKind Scheme = SchemeKind::RaftSingleNode;
   size_t Members = 3;
-  /// Spare (initially passive) replicas per group; sharded runs draw
-  /// migration targets from them. Ignored by the single-group path,
-  /// whose scenarios never grow the member set.
+  /// Spare (initially passive) replicas per data group: kill-forever
+  /// heals onto them (one permanent kill per spare, at most two per
+  /// group) and shard-reconfig migrates onto them.
   size_t Spares = 2;
-  /// Number of data consensus groups. 1 runs the original single-group
-  /// rt harness; >1 (or Scenario::ShardReconfig) runs the sharded pool
-  /// on a shared bus: a metadata group replicating the pool map plus
-  /// Groups data groups, client ops routed per key.
+  /// Number of data consensus groups. 1 runs one group with no pool;
+  /// >1 (or Scenario::ShardReconfig, which needs a metadata group even
+  /// over one data group) runs a pool on one shared transport: a
+  /// metadata group replicating the pool map plus Groups data groups,
+  /// client ops routed per key.
   size_t Groups = 1;
   /// Shards the keyspace is split into for sharded runs (jump hash).
   uint32_t Shards = 16;
@@ -61,15 +63,10 @@ struct RtRunOptions {
 /// Runs one scenario on the threaded runtime. The result reuses the
 /// ChaosRunResult shape; fields with no rt equivalent (network drop
 /// counters, nemesis trace, linearization states) stay zero/empty.
-/// Dispatches to the sharded rt harness (chaos/ShardRtRun.cpp) when
-/// Opts.Groups > 1 or the scenario is Scenario::ShardReconfig.
+/// A pool (rt::ShardedRtCluster) routes keyed writes through the pool
+/// map, re-syncs the map with each group after its script, and adds
+/// the pool-map invariants to the per-group final-agreement checks.
 ChaosRunResult runRtScenario(const RtRunOptions &Opts, uint64_t Seed);
-
-/// The sharded rt harness: meta + data groups as rt::ShardedRtCluster
-/// on one wire bus, keyed writes routed through the pool map, per-group
-/// final-agreement checks plus the pool-map invariants. Normally
-/// reached via runRtScenario's dispatch.
-ChaosRunResult runShardedRtScenario(const RtRunOptions &Opts, uint64_t Seed);
 
 } // namespace chaos
 } // namespace adore

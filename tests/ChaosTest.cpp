@@ -16,6 +16,7 @@
 #include "chaos/ChaosRun.h"
 #include "chaos/History.h"
 #include "chaos/Linearizability.h"
+#include "chaos/RtRun.h"
 #include "kv/KvStore.h"
 #include "sim/ShardedCluster.h"
 #include "support/Hashing.h"
@@ -715,6 +716,44 @@ TEST(ChaosRunTest, CrashDuringReconfigLosesNothing) {
         << R.NemesisTrace;
     EXPECT_GT(R.CommittedEntries, 0u);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The rt driver on the bus
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Runs one short rt scenario on the in-process bus and requires a clean
+/// run that committed at least one reconfiguration.
+void expectRtScenarioPasses(Scenario Kind, size_t Groups) {
+  RtRunOptions Opts;
+  Opts.Kind = Kind;
+  Opts.Groups = Groups;
+  Opts.NumOps = 6;
+  ChaosRunResult R = runRtScenario(Opts, 1);
+  std::string Why = R.summary();
+  for (const std::string &V : R.Violations)
+    Why += "\n  " + V;
+  EXPECT_TRUE(R.passed()) << Why;
+  EXPECT_GT(R.ReconfigsCommitted, 0u) << Why;
+  EXPECT_EQ(R.GroupStats.size(), Groups > 1 || Kind == Scenario::ShardReconfig
+                                     ? Groups + 1
+                                     : 0u);
+}
+
+} // namespace
+
+TEST(RtChaosTest, MixedSingleGroup) {
+  expectRtScenarioPasses(Scenario::Mixed, 1);
+}
+
+TEST(RtChaosTest, ShardReconfigTwoGroups) {
+  expectRtScenarioPasses(Scenario::ShardReconfig, 2);
+}
+
+TEST(RtChaosTest, KillForeverTwoGroups) {
+  expectRtScenarioPasses(Scenario::KillForever, 2);
 }
 
 //===----------------------------------------------------------------------===//
