@@ -32,6 +32,7 @@
 #define ADORE_RT_SHARDEDRT_H
 
 #include "rt/RtCluster.h"
+#include "shard/MapStateMachine.h"
 #include "shard/PoolMap.h"
 #include "shard/ShardedKvClient.h"
 
@@ -123,14 +124,8 @@ private:
 
   mutable sync::Mutex MapMu;
   mutable sync::CondVar MapCv;
-  shard::PoolMap Committed ADORE_GUARDED_BY(MapMu);
-  std::map<MethodId, shard::PoolMap> Proposals ADORE_GUARDED_BY(MapMu);
-  /// Ticket -> decided outcome (installed or lost the generation CAS).
-  std::map<MethodId, bool> Decided ADORE_GUARDED_BY(MapMu);
-  MethodId NextTicket ADORE_GUARDED_BY(MapMu) = 1;
-  size_t MetaIndexSeen ADORE_GUARDED_BY(MapMu) = 0;
-  uint64_t MapChanges ADORE_GUARDED_BY(MapMu) = 0;
-  std::vector<std::string> MapViolationsVec ADORE_GUARDED_BY(MapMu);
+  /// Tickets, first-apply decisions and the committed map.
+  shard::MapStateMachine Maps ADORE_GUARDED_BY(MapMu);
 };
 
 } // namespace rt

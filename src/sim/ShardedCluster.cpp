@@ -16,15 +16,15 @@ using adore::shard::PoolMap;
 
 ShardedCluster::ShardedCluster(const ReconfigScheme &Scheme,
                                ShardedClusterOptions Opts, uint64_t Seed)
-    : Scheme(&Scheme), Opts(Opts) {
+    : Scheme(&Scheme), Opts(Opts),
+      Maps(shard::makeUniformPoolMap(Opts.Groups, Opts.NumShards,
+                                     Opts.Members, Opts.Spares,
+                                     Opts.MetaMembers)) {
   assert(Opts.Groups >= 1 && "need at least one data group");
   assert(Opts.NumShards >= 1 && "need at least one shard");
-  Committed = shard::makeUniformPoolMap(Opts.Groups, Opts.NumShards,
-                                        Opts.Members, Opts.Spares,
-                                        Opts.MetaMembers);
   // Every group, server, and client boots already knowing generation 1:
   // the initial map is deployment configuration, not something learned.
-  ServerView.assign(Opts.Groups + 1, Committed);
+  ServerView.assign(Opts.Groups + 1, Maps.committed());
 
   // One master RNG stream forks a seed per group, so group g's node
   // timers and network rolls are independent of how many other groups
@@ -47,10 +47,13 @@ ShardedCluster::ShardedCluster(const ReconfigScheme &Scheme,
   // streams (and thus all pre-existing runs) bit-identical.
   ClientSeed = Master.next();
 
+  // The apply hook decides tickets; an installed map propagates to the
+  // server views.
   meta().addApplyHook(
       [this](NodeId, size_t Index, const SimLogEntry &E) {
-        if (E.Kind == raft::EntryKind::Method && E.Method != 0)
-          onMetaApply(Index, E.Method);
+        if (E.Kind == raft::EntryKind::Method &&
+            Maps.apply(Index, E.Method) && Maps.verdict(E.Method).value())
+          broadcast(Maps.committed());
       });
 }
 
@@ -94,59 +97,26 @@ bool ShardedCluster::runUntilAllLeaders(SimTime MaxWaitUs) {
 void ShardedCluster::proposeMap(PoolMap NewMap, std::function<void(bool)> Done,
                                 SimTime MaxTriesUs) {
   assert(NewMap.valid() && "proposing a structurally invalid map");
-  MethodId Ticket = NextTicket++;
-  Proposals.emplace(Ticket, std::move(NewMap));
+  MethodId Ticket = Maps.propose(std::move(NewMap));
   meta().submit(
       Ticket,
       [this, Ticket, Done = std::move(Done)](bool Ok, SimTime) {
         // The apply hook ran before this response was scheduled, so the
         // install verdict for the ticket is already final on success.
         if (Done)
-          Done(Ok && Installed[Ticket]);
+          Done(Ok && Maps.verdict(Ticket).value_or(false));
       },
       MaxTriesUs);
 }
 
-void ShardedCluster::onMetaApply(size_t Index, MethodId Method) {
-  // First application wins: every meta replica applies the same ledger,
-  // so later applications of an index (other replicas, restarts) carry
-  // no new information.
-  if (Index <= MetaIndexSeen)
-    return;
-  MetaIndexSeen = Index;
-  auto It = Proposals.find(Method);
-  if (It == Proposals.end())
-    return; // Not a map ticket (e.g. a leader's term-start noop).
-  const PoolMap &M = It->second;
-  // Compare-and-set on the generation: only the successor of the current
-  // committed map installs. A concurrent competing proposal commits in
-  // the metadata log too, but as a no-op — its proposer sees false and
-  // re-reads the map before trying again.
-  if (M.Generation != Committed.Generation + 1) {
-    Installed[Method] = false;
-    return;
-  }
-  installCommitted(M);
-  Installed[Method] = true;
-}
-
-void ShardedCluster::installCommitted(const PoolMap &M) {
-  if (M.Generation <= Committed.Generation) {
-    MapViolationsVec.push_back(
-        "pool map generation not monotone: committed gen " +
-        std::to_string(M.Generation) + " after " +
-        std::to_string(Committed.Generation));
-    return;
-  }
-  Committed = M;
-  ++MapChanges;
+void ShardedCluster::broadcast(const PoolMap &M) {
   // Propagate to every group's server-side view after the broadcast
   // latency. Views only move forward; a broadcast overtaken by a newer
   // one is ignored at delivery.
   Queue.scheduleAfter(Opts.MapBroadcastLatencyUs, [this, M] {
     for (PoolMap &View : ServerView) {
       if (M.Generation < View.Generation) {
-        MapViolationsVec.push_back(
+        ViewViolations.push_back(
             "server view generation regressed: broadcast gen " +
             std::to_string(M.Generation) + " onto view gen " +
             std::to_string(View.Generation));
@@ -156,6 +126,12 @@ void ShardedCluster::installCommitted(const PoolMap &M) {
         View = M;
     }
   });
+}
+
+std::vector<std::string> ShardedCluster::mapViolations() const {
+  std::vector<std::string> All = Maps.violations();
+  All.insert(All.end(), ViewViolations.begin(), ViewViolations.end());
+  return All;
 }
 
 std::optional<shard::WrongGroupNack>
@@ -171,5 +147,7 @@ ShardedCluster::ingressCheck(GroupId G, uint32_t Shard,
 void ShardedCluster::fetchMap(
     std::function<void(const PoolMap &)> Done) {
   Queue.scheduleAfter(Opts.MapFetchLatencyUs,
-                      [this, Done = std::move(Done)] { Done(Committed); });
+                      [this, Done = std::move(Done)] {
+                        Done(Maps.committed());
+                      });
 }

@@ -30,6 +30,7 @@
 #ifndef ADORE_SIM_SHARDEDCLUSTER_H
 #define ADORE_SIM_SHARDEDCLUSTER_H
 
+#include "shard/MapStateMachine.h"
 #include "shard/PoolMap.h"
 #include "shard/ShardedKvClient.h"
 #include "sim/Cluster.h"
@@ -91,7 +92,7 @@ public:
   //===--------------------------------------------------------------===//
 
   /// The latest map committed by the metadata group.
-  const shard::PoolMap &committedMap() const { return Committed; }
+  const shard::PoolMap &committedMap() const { return Maps.committed(); }
 
   /// Generation of data group \p G's server-side view (lags committedMap
   /// by the broadcast latency).
@@ -124,20 +125,17 @@ public:
   /// Generation-monotonicity audit: every committed-map install must be
   /// strictly newer, every server-view install non-decreasing. Empty
   /// means the invariant held.
-  const std::vector<std::string> &mapViolations() const {
-    return MapViolationsVec;
-  }
+  std::vector<std::string> mapViolations() const;
 
   /// Number of installed (effective) map changes past the initial map.
-  uint64_t mapChangesCommitted() const { return MapChanges; }
+  uint64_t mapChangesCommitted() const { return Maps.changes(); }
 
   /// A seed forked from this pool's master stream for client-side
   /// randomness (retry jitter), independent of the group streams.
   uint64_t clientSeed() const { return ClientSeed; }
 
 private:
-  void onMetaApply(size_t Index, MethodId Method);
-  void installCommitted(const shard::PoolMap &M);
+  void broadcast(const shard::PoolMap &M);
 
   const ReconfigScheme *Scheme;
   ShardedClusterOptions Opts;
@@ -147,19 +145,13 @@ private:
   /// Indexed by GroupId; slot 0 is the metadata group.
   std::vector<std::unique_ptr<Cluster>> GroupClusters;
 
-  shard::PoolMap Committed;
+  /// Tickets, first-apply decisions and the committed map.
+  shard::MapStateMachine Maps;
   /// Per-group server-side map view, indexed by GroupId.
   std::vector<shard::PoolMap> ServerView;
-  /// Outstanding map proposals keyed by their metadata-group ticket.
-  std::map<MethodId, shard::PoolMap> Proposals;
-  /// Tickets whose map actually became the committed map.
-  std::map<MethodId, bool> Installed;
-  MethodId NextTicket = 1;
-  /// First-apply-wins guard over the metadata ledger.
-  size_t MetaIndexSeen = 0;
-  uint64_t MapChanges = 0;
   uint64_t ClientSeed = 1;
-  std::vector<std::string> MapViolationsVec;
+  /// Server-view regressions seen at broadcast delivery.
+  std::vector<std::string> ViewViolations;
 };
 
 } // namespace sim

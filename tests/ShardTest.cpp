@@ -13,6 +13,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "shard/MapStateMachine.h"
 #include "shard/Placement.h"
 #include "shard/PoolMap.h"
 #include "shard/ShardedKvClient.h"
@@ -189,6 +190,51 @@ TEST(PoolMapTest, ValidityCatchesStructuralLies) {
   Bad = M;
   Bad.Roster = NodeSet(); // replicas outside the roster
   EXPECT_FALSE(Bad.valid());
+}
+
+//===----------------------------------------------------------------------===//
+// Pool-map state machine
+//===----------------------------------------------------------------------===//
+
+TEST(MapStateMachineTest, FirstApplyDecidesAndCasPicksOneWinner) {
+  MapStateMachine SM(makeUniformPoolMap(2, 4, 3, 2, 3));
+  PoolMap Next = SM.committed();
+  Next.Generation = 2;
+  // Two proposals race for generation 2: both commit in the meta log,
+  // only the one applied first installs.
+  MethodId A = SM.propose(Next);
+  MethodId B = SM.propose(Next);
+  EXPECT_NE(A, B);
+  EXPECT_FALSE(SM.verdict(A).has_value());
+  EXPECT_FALSE(SM.apply(1, 0)) << "a term-start noop decides nothing";
+  EXPECT_TRUE(SM.apply(2, B));
+  EXPECT_TRUE(SM.apply(3, A));
+  EXPECT_EQ(SM.verdict(B), std::optional<bool>(true));
+  EXPECT_EQ(SM.verdict(A), std::optional<bool>(false));
+  EXPECT_EQ(SM.committed().Generation, 2u);
+  EXPECT_EQ(SM.changes(), 1u);
+  // Another replica applying the same indexes carries no new decision.
+  EXPECT_FALSE(SM.apply(2, B));
+  EXPECT_FALSE(SM.apply(3, A));
+  EXPECT_FALSE(SM.apply(4, 999)) << "not a ticket";
+  EXPECT_TRUE(SM.violations().empty());
+}
+
+TEST(MapStateMachineTest, InvalidOrSkippingProposalsNeverInstall) {
+  MapStateMachine SM(makeUniformPoolMap(2, 4, 3, 0, 3));
+  PoolMap Skip = SM.committed();
+  Skip.Generation = 3; // Not the successor of generation 1.
+  PoolMap Invalid = SM.committed();
+  Invalid.Generation = 2;
+  Invalid.GroupReplicas[1] = NodeSet();
+  MethodId S = SM.propose(Skip);
+  MethodId I = SM.propose(Invalid);
+  EXPECT_TRUE(SM.apply(1, S));
+  EXPECT_TRUE(SM.apply(2, I));
+  EXPECT_EQ(SM.verdict(S), std::optional<bool>(false));
+  EXPECT_EQ(SM.verdict(I), std::optional<bool>(false));
+  EXPECT_EQ(SM.committed().Generation, 1u);
+  EXPECT_EQ(SM.changes(), 0u);
 }
 
 //===----------------------------------------------------------------------===//
