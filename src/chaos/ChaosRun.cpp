@@ -41,17 +41,6 @@ bool fullyReplicated(const sim::Cluster &C, const ReconfigScheme &Scheme,
   return true;
 }
 
-Config currentConfigOf(sim::Cluster &C) {
-  if (std::optional<NodeId> L = C.leader())
-    return C.node(*L).config();
-  for (NodeId N : C.universe()) {
-    const sim::RaftNode &Node = C.node(N);
-    if (!Node.isCrashed() && !Node.isPassive())
-      return Node.config();
-  }
-  return C.node(C.universe()[0]).config();
-}
-
 /// The shard-reconfig nemesis: instead of cutting links or crashing
 /// nodes, it migrates groups — pick a data group, pick a legal successor
 /// replica set from the scheme's own candidateReconfigs enumeration,
@@ -94,16 +83,14 @@ private:
     if (InFlight || !Pool.scheme().allowsReconfig())
       return;
     GroupId G = 1 + static_cast<GroupId>(R.nextBelow(Pool.dataGroups()));
-    Config Cur = currentConfigOf(Pool.group(G));
+    sim::Cluster &C = Pool.group(G);
     std::vector<Config> Cands =
-        Pool.scheme().candidateReconfigs(Cur, Pool.groupUniverse(G));
+        Pool.scheme().candidateReconfigs(C.currentConfig(), C.universe());
     if (Cands.empty())
       return;
     Config Next = R.pick(Cands);
-    shard::PoolMap M = Pool.committedMap();
-    M.Generation += 1;
-    M.GroupReplicas[G] = Pool.scheme().mbrs(Next);
-    M.Roster = M.Roster.unionWith(M.GroupReplicas[G]);
+    shard::PoolMap M = heal::withGroupReplicas(Pool.committedMap(), G,
+                                               Pool.scheme().mbrs(Next));
     InFlight = true;
     ++Requested;
     record("migrate group " + std::to_string(G) + " -> " +
@@ -276,79 +263,60 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
           GR.Ledger.observe(Node, Index, E);
         });
 
-  // The KV front end, and with it the one call that issues a workload
-  // op. Reads with the read tiers on go through the protocol read path;
-  // the observer still records each as a Get, so the Wing & Gong check
-  // covers the read path end to end.
+  // The KV front end: a group store, or the routed pool store.
   History H;
   std::unique_ptr<kv::ReplicatedKvStore> SingleKv;
   std::unique_ptr<kv::ShardedKvStore> PoolKv;
   const ChaosWorkloadOptions &WL = Opts.Workload;
-  auto CountRead = [&Result](bool Ok) {
-    if (Ok)
-      ++Result.ReadsOk;
-    else
-      ++Result.ReadsFailed;
-  };
-  std::function<void(uint32_t, unsigned, uint32_t)> Issue;
   if (IsPool) {
     PoolKv = std::make_unique<kv::ShardedKvStore>(*Pool);
     PoolKv->setOpTimeout(WL.OpTimeoutUs);
     PoolKv->setObserver(&H);
-    // A pool cannot choose where a read lands per op: with the read
-    // tiers on, every read starts at a follower, and one the group
-    // cannot prove safe is re-sent pinned to the leader.
     PoolKv->setFollowerReads(ReadPath);
     for (GroupId G = 1; G != Groups.size(); ++G)
       Groups[G].Kv = &PoolKv->groupStore(G);
-    Issue = [&, ReadPath](uint32_t Key, unsigned Draw, uint32_t Val) {
-      kv::ShardedKvStore &Store = *PoolKv;
-      if (Draw < WL.GetPermille) {
-        if (ReadPath) {
-          ++Result.ReadsIssued;
-          ++Result.ReadsAtFollower;
-        }
-        Store.get(Key, [&CountRead, ReadPath](bool Ok,
-                                              std::optional<uint32_t>,
-                                              SimTime) {
-          if (ReadPath)
-            CountRead(Ok);
-        });
-      } else if (Draw < WL.GetPermille + WL.DelPermille)
-        Store.del(Key, [](bool, SimTime) {});
-      else
-        Store.put(Key, Val, [](bool, SimTime) {});
-    };
   } else {
     SingleKv = std::make_unique<kv::ReplicatedKvStore>(*Single);
     SingleKv->setObserver(&H);
     Groups[0].Kv = SingleKv.get();
-    Issue = [&, ReadPath](uint32_t Key, unsigned Draw, uint32_t Val) {
-      kv::ReplicatedKvStore &Store = *SingleKv;
-      if (Draw < WL.GetPermille) {
-        if (ReadPath) {
-          // Alternate leader-side and follower-side reads.
-          bool AtFollower = (Draw % 2) == 0;
-          ++Result.ReadsIssued;
-          if (AtFollower)
-            ++Result.ReadsAtFollower;
-          Store.getFast(
-              Key,
-              [&CountRead](bool Ok, std::optional<uint32_t>, SimTime) {
-                CountRead(Ok);
-              },
-              AtFollower, WL.OpTimeoutUs);
-        } else {
-          Store.get(
-              Key, [](bool, std::optional<uint32_t>, SimTime) {},
-              WL.OpTimeoutUs);
-        }
-      } else if (Draw < WL.GetPermille + WL.DelPermille)
-        Store.del(Key, [](bool, SimTime) {}, WL.OpTimeoutUs);
-      else
-        Store.put(Key, Val, [](bool, SimTime) {}, WL.OpTimeoutUs);
-    };
   }
+
+  // Issues one workload op. With the read tiers on, gets go through the
+  // protocol read path, alternating leader- and follower-side reads (a
+  // pool cannot choose per op: every fast read starts at a follower, and
+  // one the group cannot prove safe is re-sent pinned to the leader).
+  // The observer still records each as a Get, so the Wing & Gong check
+  // covers the read path end to end.
+  auto Ignore = [](bool, SimTime) {};
+  auto CountRead = [&Result, ReadPath](bool Ok, std::optional<uint32_t>,
+                                       SimTime) {
+    if (ReadPath)
+      ++(Ok ? Result.ReadsOk : Result.ReadsFailed);
+  };
+  auto Issue = [&](uint32_t Key, unsigned Draw, uint32_t Val) {
+    if (Draw < WL.GetPermille) {
+      bool AtFollower = PoolKv || (Draw % 2) == 0;
+      if (ReadPath) {
+        ++Result.ReadsIssued;
+        Result.ReadsAtFollower += AtFollower;
+      }
+      if (PoolKv)
+        PoolKv->get(Key, CountRead);
+      else if (ReadPath)
+        SingleKv->getFast(Key, CountRead, AtFollower, WL.OpTimeoutUs);
+      else
+        SingleKv->get(Key, CountRead, WL.OpTimeoutUs);
+    } else if (Draw < WL.GetPermille + WL.DelPermille) {
+      if (PoolKv)
+        PoolKv->del(Key, Ignore);
+      else
+        SingleKv->del(Key, Ignore, WL.OpTimeoutUs);
+    } else if (PoolKv) {
+      PoolKv->put(Key, Val, Ignore);
+    } else {
+      SingleKv->put(Key, Val, Ignore, WL.OpTimeoutUs);
+    }
+  };
 
   if (Pool) {
     Pool->start();
@@ -372,11 +340,11 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
     Driver.emplace(*Pool, Opts.Nemesis, Seeds.Migration);
     Driver->start();
   } else {
-    for (size_t G = FirstData; G != Groups.size(); ++G)
+    for (size_t G = FirstData; G != Groups.size(); ++G) {
       Groups[G].N = std::make_unique<Nemesis>(*Groups[G].C, Opts.Nemesis,
                                               Seeds.Nemesis[G - FirstData]);
-    for (size_t G = FirstData; G != Groups.size(); ++G)
       Groups[G].N->start();
+    }
   }
 
   // Self-healing drivers, one Healer per data group (kill-forever only).
@@ -394,6 +362,18 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
   size_t KillsSeen = 0;
   bool MapProposalInFlight = false;
   std::function<void()> HealTick;
+  // Samples the replication clock: stamp the first moment after a kill
+  // at which every data group is back at full strength.
+  auto SampleFullReplication = [&] {
+    if (FullyReplicatedAt != 0 || KillsSeen == 0)
+      return;
+    for (size_t G = FirstData; G != Groups.size(); ++G) {
+      std::optional<NodeId> L = Groups[G].C->leader();
+      if (!L || !fullyReplicated(*Groups[G].C, *Scheme, *L, Opts.Members))
+        return;
+    }
+    FullyReplicatedAt = Q.now();
+  };
   if (Healing) {
     for (size_t G = FirstData; G != Groups.size(); ++G) {
       heal::HealerOptions HO;
@@ -426,16 +406,12 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
         KillsSeen = Kills;
         FullyReplicatedAt = 0;
       }
-      bool AllFull = KillsSeen != 0;
+      SampleFullReplication();
       for (size_t G = FirstData; G != Groups.size(); ++G) {
         sim::Cluster &C = *Groups[G].C;
         std::optional<NodeId> L = C.leader();
-        if (!L) {
-          AllFull = false;
+        if (!L)
           continue;
-        }
-        if (!fullyReplicated(C, *Scheme, *L, Opts.Members))
-          AllFull = false;
         heal::Healer *Doc = Groups[G].Doc.get();
         if (std::optional<Config> P =
                 Doc->tick(Now, C.node(*L).config(), C.universe(), *L))
@@ -456,8 +432,6 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
           }
         }
       }
-      if (AllFull && FullyReplicatedAt == 0)
-        FullyReplicatedAt = Now;
       if (Now + HealTickUs < End)
         Q.scheduleAfter(HealTickUs, HealTick);
     };
@@ -510,7 +484,7 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
       GS.Ops += Op.HasPlacement && Op.Group == G;
     Result.GroupStats.push_back(GS);
   }
-  bool HealedAll = true;
+  Result.HealedAll = true;
   if (Driver) {
     Result.NemesisActions = Driver->trace().size();
     Result.ReconfigsRequested = Driver->requested();
@@ -522,13 +496,12 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
       Result.NemesisActions += N.trace().size();
       Result.ReconfigsRequested += N.reconfigsRequested();
       Result.ReconfigsCommitted += N.reconfigsCommitted();
-      HealedAll = HealedAll && N.healedAll();
+      Result.HealedAll = Result.HealedAll && N.healedAll();
       if (Pool)
         Result.NemesisTrace += "group " + std::to_string(G) + ":\n";
       Result.NemesisTrace += N.traceString();
     }
   }
-  Result.HealedAll = HealedAll;
   Result.HistoryText = H.str();
   if (Pool) {
     Result.MapGeneration = Pool->committedMap().Generation;
@@ -540,16 +513,7 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
   if (Healing) {
     // The tick only samples every 50ms; catch a catch-up that completed
     // between the last tick and the end of the run.
-    if (FullyReplicatedAt == 0 && KillsSeen != 0) {
-      bool AllFull = true;
-      for (size_t G = FirstData; G != Groups.size(); ++G) {
-        std::optional<NodeId> L = Groups[G].C->leader();
-        if (!L || !fullyReplicated(*Groups[G].C, *Scheme, *L, Opts.Members))
-          AllFull = false;
-      }
-      if (AllFull)
-        FullyReplicatedAt = Q.now();
-    }
+    SampleFullReplication();
     SimTime FirstKillAt = 0;
     SimTime FinalKillAt = 0;
     for (size_t G = FirstData; G != Groups.size(); ++G) {
@@ -577,7 +541,7 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
   }
 
   // Invariants.
-  if (!HealedAll)
+  if (!Result.HealedAll)
     Result.Violations.push_back("nemesis did not heal all faults");
   if (Healing && KillsSeen != 0) {
     // The point of the scenario: only reconfiguration can restore the

@@ -173,21 +173,10 @@ void Nemesis::step() {
       return;
 }
 
-Config Nemesis::currentConfig() const {
-  if (std::optional<NodeId> L = C->leader())
-    return C->node(*L).config();
-  for (NodeId N : C->universe()) {
-    const sim::RaftNode &Node = C->node(N);
-    if (!Node.isCrashed() && !Node.isPassive())
-      return Node.config();
-  }
-  return C->node(C->universe()[0]).config();
-}
-
 bool Nemesis::moveCrash() {
   if (Crashed.size() >= Opts.MaxCrashed)
     return false;
-  NodeSet Members = C->scheme().mbrs(currentConfig());
+  NodeSet Members = C->scheme().mbrs(C->currentConfig());
   std::vector<NodeId> Cands;
   for (NodeId N : Members)
     if (!C->node(N).isCrashed())
@@ -314,7 +303,7 @@ bool Nemesis::moveReconfig() {
   if (!C->scheme().allowsReconfig())
     return false;
   std::vector<Config> Cands =
-      C->scheme().candidateReconfigs(currentConfig(), C->universe());
+      C->scheme().candidateReconfigs(C->currentConfig(), C->universe());
   if (Cands.empty())
     return false;
   const Config &Next = R.pick(Cands);
@@ -333,7 +322,7 @@ bool Nemesis::moveReconfig() {
 bool Nemesis::moveKillForever() {
   if (KilledForever.size() >= Opts.MaxForeverKills)
     return false;
-  Config Conf = currentConfig();
+  Config Conf = C->currentConfig();
   NodeSet Members = C->scheme().mbrs(Conf);
   std::vector<NodeId> Cands;
   for (NodeId N : Members) {

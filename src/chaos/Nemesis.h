@@ -153,8 +153,6 @@ private:
   void scriptSplitBrain();
   void scriptCrashMidReconfig();
 
-  Config currentConfig() const;
-
   sim::Cluster *C;
   NemesisOptions Opts;
   Rng R;

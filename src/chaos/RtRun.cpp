@@ -288,33 +288,29 @@ ChaosRunResult adore::chaos::runRtScenario(const RtRunOptions &Opts,
   // The kill-forever heal loop: tick the group's Healer against its
   // current leader and commit whatever it proposes, until the group is
   // back at full strength or the budget runs out.
-  auto HealStep = [&](GroupId G) {
-    rt::RtCluster &Grp = *Groups[G];
-    NodeId L = Grp.waitForLeader(100);
-    if (L == InvalidNodeId)
-      return;
-    Config Cur = Grp.nodeStatus(L).Conf;
-    std::optional<Config> P;
-    {
-      sync::MutexLock Lk(HealMu);
-      P = Healers[G]->tick(NowUs(), Cur, Grp.universe(), L);
-    }
-    if (!P)
-      return;
-    ++Result.ReconfigsRequested;
-    bool Ok = Grp.reconfigAndWait(*P, Opts.ConvergeTimeoutMs);
-    if (Ok)
-      ++Result.ReconfigsCommitted;
-    sync::MutexLock Lk(HealMu);
-    Healers[G]->onReconfigResult(Ok, NowUs());
-  };
   auto HealUntilFull = [&](GroupId G, uint64_t KillUs) {
+    rt::RtCluster &Grp = *Groups[G];
     uint64_t Deadline = KillUs + 3 * Opts.ConvergeTimeoutMs * 1000;
-    while (NowUs() < Deadline) {
-      if (fullyReplicated(*Groups[G], Opts.Members))
+    for (; NowUs() < Deadline; sleepMs(20)) {
+      if (fullyReplicated(Grp, Opts.Members))
         return true;
-      HealStep(G);
-      sleepMs(20);
+      NodeId L = Grp.waitForLeader(100);
+      if (L == InvalidNodeId)
+        continue;
+      Config Cur = Grp.nodeStatus(L).Conf;
+      std::optional<Config> P;
+      {
+        sync::MutexLock Lk(HealMu);
+        P = Healers[G]->tick(NowUs(), Cur, Grp.universe(), L);
+      }
+      if (!P)
+        continue;
+      ++Result.ReconfigsRequested;
+      bool Ok = Grp.reconfigAndWait(*P, Opts.ConvergeTimeoutMs);
+      if (Ok)
+        ++Result.ReconfigsCommitted;
+      sync::MutexLock Lk(HealMu);
+      Healers[G]->onReconfigResult(Ok, NowUs());
     }
     return false;
   };
@@ -404,10 +400,8 @@ ChaosRunResult adore::chaos::runRtScenario(const RtRunOptions &Opts,
         if (Cands.empty())
           continue;
         Config Next = R.pick(Cands);
-        shard::PoolMap NewMap = Pool->committedMap();
-        ++NewMap.Generation;
-        NewMap.GroupReplicas[G] = Grp.scheme().mbrs(Next);
-        NewMap.Roster = NewMap.Roster.unionWith(NewMap.GroupReplicas[G]);
+        shard::PoolMap NewMap = heal::withGroupReplicas(
+            Pool->committedMap(), G, Grp.scheme().mbrs(Next));
         ++Result.ReconfigsRequested;
         // Failures here are not violations — the rt runtime is honestly
         // nondeterministic (leadership can move mid-migration), and the
@@ -433,11 +427,9 @@ ChaosRunResult adore::chaos::runRtScenario(const RtRunOptions &Opts,
                                             "observe the kill");
           break;
         }
-        // Victim: the highest-id live member that is not the leader.
-        NodeId KillVictim = InvalidNodeId;
-        for (NodeId M : Grp.scheme().mbrs(Grp.nodeStatus(L).Conf))
-          if (M != L && !Grp.nodeStatus(M).Crashed)
-            KillVictim = M;
+        // Every member is live again once the previous kill healed.
+        NodeId KillVictim =
+            pickVictim(Grp.scheme().mbrs(Grp.nodeStatus(L).Conf), L);
         if (KillVictim == InvalidNodeId)
           break;
         Grp.crash(KillVictim);
@@ -536,20 +528,6 @@ ChaosRunResult adore::chaos::runRtScenario(const RtRunOptions &Opts,
   for (rt::RtCluster *Grp : Groups)
     Grp->stop();
 
-  if (Healing) {
-    // Workers are joined: the cores are safe to inspect directly.
-    for (GroupId G = FirstData; G != EndGroup; ++G) {
-      for (NodeId Id : Groups[G]->universe()) {
-        const core::RaftCore &Core = Groups[G]->coreForInspection(Id);
-        Result.SnapshotBytesTransferred += Core.snapshotBytesReceived();
-        Result.SnapshotsInstalled += Core.snapshotsInstalled();
-      }
-      sync::MutexLock Lk(HealMu);
-      Result.HealReconfigsCommitted += Healers[G]->heals();
-      Result.HealReconfigRetries += Healers[G]->retries();
-    }
-  }
-
   for (GroupId G = 0; G != Groups.size(); ++G) {
     rt::RtCluster &Grp = *Groups[G];
     for (const std::string &V : Grp.checkFinalAgreement())
@@ -557,6 +535,17 @@ ChaosRunResult adore::chaos::runRtScenario(const RtRunOptions &Opts,
     Result.CommittedEntries += Grp.committedCount();
     if (Result.DurableStore)
       Result.Store.accumulate(Grp.storeStats());
+    if (Healing && Healers[G]) {
+      // Workers are joined: the cores are safe to inspect directly.
+      for (NodeId Id : Grp.universe()) {
+        const core::RaftCore &Core = Grp.coreForInspection(Id);
+        Result.SnapshotBytesTransferred += Core.snapshotBytesReceived();
+        Result.SnapshotsInstalled += Core.snapshotsInstalled();
+      }
+      sync::MutexLock Lk(HealMu);
+      Result.HealReconfigsCommitted += Healers[G]->heals();
+      Result.HealReconfigRetries += Healers[G]->retries();
+    }
     if (!Pool)
       continue;
     ChaosRunResult::GroupStatsEntry GS;

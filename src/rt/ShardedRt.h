@@ -36,7 +36,6 @@
 #include "shard/PoolMap.h"
 #include "shard/ShardedKvClient.h"
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>

@@ -51,18 +51,54 @@ public:
 
   /// Records \p NewMap as a proposal and returns the ticket to submit
   /// through the metadata log.
-  MethodId propose(PoolMap NewMap);
+  MethodId propose(PoolMap NewMap) {
+    MethodId Ticket = NextTicket++;
+    Proposals.emplace(Ticket, std::move(NewMap));
+    return Ticket;
+  }
 
   /// Feeds one application, at \p Index on any replica, of a metadata-log
   /// command entry carrying \p Method (hosts skip the other entry kinds;
   /// a method of 0 is a term-start noop). Returns true iff it decided a
   /// ticket: the first application of a command index that carries a
   /// proposal's ticket.
-  bool apply(size_t Index, MethodId Method);
+  bool apply(size_t Index, MethodId Method) {
+    // First application wins: every meta replica applies the same
+    // ledger in index order, so later applications of an index (other
+    // replicas, restarts) carry no new information.
+    if (Method == 0 || Index <= IndexSeen)
+      return false;
+    IndexSeen = Index;
+    auto It = Proposals.find(Method);
+    if (It == Proposals.end())
+      return false;
+    const PoolMap &M = It->second;
+    // Compare-and-set on the generation: only the successor of the
+    // current committed map installs.
+    bool Install = M.valid() && M.Generation == Committed.Generation + 1;
+    if (Install && M.Generation <= Committed.Generation) {
+      Violations.push_back(
+          "pool map generation not monotone: committed gen " +
+          std::to_string(M.Generation) + " after " +
+          std::to_string(Committed.Generation));
+      Install = false;
+    }
+    if (Install) {
+      Committed = M;
+      ++Changes;
+    }
+    Decided[Method] = Install;
+    return true;
+  }
 
   /// The decided outcome of \p Ticket (installed or lost the CAS), or
   /// nullopt while undecided.
-  std::optional<bool> verdict(MethodId Ticket) const;
+  std::optional<bool> verdict(MethodId Ticket) const {
+    auto It = Decided.find(Ticket);
+    if (It == Decided.end())
+      return std::nullopt;
+    return It->second;
+  }
 
 private:
   PoolMap Committed;

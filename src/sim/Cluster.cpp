@@ -96,6 +96,17 @@ std::optional<NodeId> Cluster::leader() const {
   return Best;
 }
 
+Config Cluster::currentConfig() const {
+  if (std::optional<NodeId> L = leader())
+    return node(*L).config();
+  for (NodeId N : Universe) {
+    const RaftNode &Node = node(N);
+    if (!Node.isCrashed() && !Node.isPassive())
+      return Node.config();
+  }
+  return node(Universe[0]).config();
+}
+
 std::optional<NodeId> Cluster::runUntilLeader(SimTime MaxWaitUs) {
   SimTime Deadline = Q->now() + MaxWaitUs;
   while (Q->now() < Deadline) {

@@ -67,10 +67,6 @@ const Cluster &ShardedCluster::group(GroupId G) const {
   return *GroupClusters[G];
 }
 
-NodeSet ShardedCluster::groupUniverse(GroupId G) const {
-  return group(G).universe();
-}
-
 void ShardedCluster::start() {
   for (auto &C : GroupClusters)
     C->start();

@@ -36,7 +36,6 @@
 #include "sim/Cluster.h"
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -77,8 +76,6 @@ public:
   Cluster &meta() { return group(shard::MetaGroupId); }
   Cluster &group(shard::GroupId G);
   const Cluster &group(shard::GroupId G) const;
-  /// The spare-inclusive node universe of data group \p G.
-  NodeSet groupUniverse(shard::GroupId G) const;
 
   /// Arms every group's election timers.
   void start();
@@ -93,12 +90,6 @@ public:
 
   /// The latest map committed by the metadata group.
   const shard::PoolMap &committedMap() const { return Maps.committed(); }
-
-  /// Generation of data group \p G's server-side view (lags committedMap
-  /// by the broadcast latency).
-  uint64_t serverGen(shard::GroupId G) const {
-    return ServerView[G].Generation;
-  }
 
   /// Proposes \p NewMap as a command to the metadata group. \p Done fires
   /// with true iff the proposal committed *and* was installed (its
