@@ -642,7 +642,10 @@ void RaftCore::onAppendEntries(const Msg &M, uint64_t NowUs, Effects &Out) {
     appendEntry(E);
   }
   updatePassivity();
-  size_t NewCommit = std::min(M.LeaderCommit, Log.size());
+  // Commit only what this frame vouches for: past its last entry the
+  // log may still hold a stale suffix the leader never sent.
+  size_t NewCommit =
+      std::min(M.LeaderCommit, M.PrevIndex + M.Entries.size());
   if (NewCommit > CommitIndex)
     applyUpTo(NewCommit, Out);
   Reply.Success = true;
@@ -678,9 +681,14 @@ void RaftCore::onAppendReply(const Msg &M, Effects &Out) {
   // Back up and retry. A consistency NAK invalidates everything past the
   // probe point: frames still in flight carry the wrong PrevIndex
   // anchor, so drop the window and rewind the cursor to re-send from the
-  // backup.
+  // backup. The hint and the acked match point both prove a matching
+  // prefix, so Next never drops below either; a stale or duplicated NAK
+  // leaves it where it is.
+  auto Acked = MatchIndex.find(M.From);
+  size_t Floor = std::max(M.MatchIndex,
+                          Acked == MatchIndex.end() ? 0 : Acked->second);
   size_t &Next = NextIndex[M.From];
-  Next = std::max<size_t>(1, std::min(Next - 1, M.MatchIndex + 1));
+  Next = std::min(Next, Floor + 1);
   PeerPipe &PP = Pipe[M.From];
   PP.InFlight = 0;
   PP.SentNext = Next;

@@ -1733,3 +1733,185 @@ TEST(HostTest, EveryEffectKindReachesItsOwnHook) {
                 "suspected 3", "recovered 3", "read-ready 9 at 4",
                 "read-failed 10"}));
 }
+
+//===----------------------------------------------------------------------===//
+// Stale commits: a follower commits only what a frame vouches for
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Three real cores on a hand-driven network, so a test can pick any
+/// delivery order. Every Apply a core emits is recorded by node and
+/// index, for comparison against the leader's committed log.
+struct ThreeCores {
+  CoreHarness H;
+  std::vector<RaftCore> Cores;
+  std::deque<Msg> Wire;
+  std::map<NodeId, std::map<size_t, LogEntry>> Applied;
+  uint64_t Now = 0;
+
+  explicit ThreeCores(const CoreOptions &Opts) {
+    H.Opts = Opts;
+    for (NodeId Id : {1, 2, 3})
+      Cores.push_back(H.make(Id, /*Seed=*/Id));
+    for (RaftCore &C : Cores)
+      C.start();
+  }
+
+  RaftCore &core(NodeId Id) { return Cores[Id - 1]; }
+
+  void post(NodeId From, const Effects &Effs) {
+    for (const Effect &E : Effs) {
+      if (E.K == Effect::Kind::Send)
+        Wire.push_back(E.M);
+      else if (E.K == Effect::Kind::Apply)
+        Applied[From][E.Index] = E.Entry;
+    }
+  }
+
+  void deliver(const Msg &M) { post(M.To, core(M.To).onMessage(M, Now)); }
+
+  void campaign(NodeId Id) {
+    post(Id, core(Id).onTimer(TimerId::Election, core(Id).electionGen(), Now));
+  }
+
+  /// Delivers in send order every message not addressed to \p Held;
+  /// those stay in flight, in order.
+  void deliverAllExcept(NodeId Held) {
+    std::deque<Msg> Kept;
+    while (!Wire.empty()) {
+      Msg M = Wire.front();
+      Wire.pop_front();
+      if (M.To == Held)
+        Kept.push_back(M);
+      else
+        deliver(M);
+    }
+    Wire = std::move(Kept);
+  }
+
+  /// Removes and returns the first in-flight append to \p To whose
+  /// PrevIndex is \p Prev.
+  std::optional<Msg> takeAppend(NodeId To, size_t Prev) {
+    for (auto It = Wire.begin(); It != Wire.end(); ++It)
+      if (It->K == Msg::Kind::AppendEntries && It->To == To &&
+          It->PrevIndex == Prev) {
+        Msg M = *It;
+        Wire.erase(It);
+        return M;
+      }
+    return std::nullopt;
+  }
+
+  /// Drops every in-flight message to \p To.
+  void takeAll(NodeId To) {
+    std::erase_if(Wire, [To](const Msg &M) { return M.To == To; });
+  }
+
+  void drain() {
+    for (size_t Steps = 0; !Wire.empty() && Steps != 10000; ++Steps) {
+      Msg M = Wire.front();
+      Wire.pop_front();
+      deliver(M);
+    }
+  }
+};
+
+} // namespace
+
+TEST(StaleCommitTest, ReorderedPipelinedFramesNeverCommitAStaleSuffix) {
+  // Node 3 leads term 1 and commits [a] with both peers, then appends b
+  // and c that reach nobody. Node 1 (holding [a]) wins term 2 with node
+  // 2's vote, appends its noop and x, and commits index 3 with node 2.
+  // Its pipelined frames Prev=1 and Prev=2 reach node 3 in reverse.
+  CoreOptions Opts;
+  Opts.PipelineWindow = 4;
+  Opts.MaxEntriesPerAppend = 1;
+  Opts.DisableVoteStickiness = true;
+  ThreeCores N(Opts);
+  N.campaign(3);
+  N.drain();
+  ASSERT_TRUE(N.core(3).isLeader());
+  ASSERT_EQ(N.core(3).commitIndex(), 1u);
+  Effects Unsent;
+  ASSERT_TRUE(N.core(3).submit(20, 1, Unsent));
+  ASSERT_TRUE(N.core(3).submit(21, 2, Unsent));
+  ASSERT_EQ(N.core(3).logSize(), 3u);
+
+  N.Now = 10000000;
+  N.Wire.clear(); // b and c reach nobody.
+  N.campaign(1);
+  N.takeAll(3); // Node 3 never hears the campaign.
+  N.deliverAllExcept(3);
+  ASSERT_TRUE(N.core(1).isLeader());
+  Effects Submit;
+  ASSERT_TRUE(N.core(1).submit(30, 1, Submit));
+  N.post(1, Submit);
+  N.deliverAllExcept(3);
+  ASSERT_EQ(N.core(1).commitIndex(), 3u);
+
+  // Prev=2 first: node 3 holds b at index 2 and NAKs with hint 1. The
+  // hint says index 1 matches, so no re-send may start below index 2.
+  std::optional<Msg> Second = N.takeAppend(3, 2);
+  ASSERT_TRUE(Second.has_value());
+  N.deliver(*Second);
+  ASSERT_FALSE(N.Wire.empty());
+  Msg Nak = N.Wire.back();
+  N.Wire.pop_back();
+  ASSERT_EQ(Nak.K, Msg::Kind::AppendReply);
+  ASSERT_FALSE(Nak.Success);
+  EXPECT_EQ(Nak.MatchIndex, 1u);
+  Effects Resend = N.core(1).onMessage(Nak, N.Now);
+  for (const Msg *M : appendsTo(Resend, 3))
+    EXPECT_GE(M->PrevIndex, 1u) << "NAK rewound below its hint";
+  N.post(1, Resend);
+
+  // A leader may still re-send from any earlier index (a retransmission
+  // or a slow probe), so a frame that vouches only for [a] while
+  // carrying commit 3 must not commit node 3's stale b and c.
+  Msg Short;
+  Short.K = Msg::Kind::AppendEntries;
+  Short.From = 1;
+  Short.To = 3;
+  Short.Term = N.core(1).term();
+  Short.PrevIndex = 0;
+  Short.Entries = {N.core(1).entry(1)};
+  Short.LeaderCommit = N.core(1).commitIndex();
+  N.deliver(Short);
+  EXPECT_LE(N.core(3).commitIndex(), 1u);
+
+  N.drain();
+  for (const auto &[Node, ByIndex] : N.Applied)
+    for (const auto &[Index, E] : ByIndex) {
+      ASSERT_LE(Index, N.core(1).commitIndex());
+      EXPECT_TRUE(E == N.core(1).entry(Index))
+          << "S" << Node << " applied a term-" << E.Term
+          << " entry at index " << Index << "; the leader committed term "
+          << N.core(1).entry(Index).Term;
+    }
+  EXPECT_EQ(N.core(3).log(), N.core(1).log());
+  EXPECT_EQ(N.core(3).commitIndex(), 3u);
+}
+
+TEST(StaleCommitTest, DuplicatedNakNeverRewindsBelowTheMatchPoint) {
+  // Window 1: follower 2 has acked index 2, then a NAK with hint 2 (a
+  // probe past its log) arrives twice. Each copy used to step Next back
+  // one more slot, re-sending entries the follower already holds.
+  CoreHarness H;
+  H.Opts.PipelineWindow = 1;
+  H.Opts.MaxEntriesPerAppend = 1;
+  RaftCore C = H.make(1);
+  C.start();
+  electLeader(C);
+  Effects Tmp;
+  for (MethodId M = 10; M != 14; ++M)
+    ASSERT_TRUE(C.submit(M, M, Tmp));
+  C.onMessage(appendAck(C, 2, 2), /*Now=*/0);
+  for (int Copy = 0; Copy != 2; ++Copy) {
+    Effects Fx = C.onMessage(appendNack(C, 2, 2), /*Now=*/0);
+    std::vector<const Msg *> Sent = appendsTo(Fx, 2);
+    ASSERT_FALSE(Sent.empty());
+    for (const Msg *M : Sent)
+      EXPECT_EQ(M->PrevIndex, 2u) << "copy " << Copy << " rewound Next";
+  }
+}
