@@ -149,17 +149,13 @@ RunSeeds deriveSeeds(uint64_t Seed, bool IsPool, size_t DataGroups) {
   uint64_t NemesisSeed = Master.next();
   S.Workload = Master.next();
   uint64_t HealSeed = Master.next();
-  if (!IsPool) {
-    S.Nemesis = {NemesisSeed};
-    S.Healer = {HealSeed};
-    return S;
-  }
   Rng NemMaster(NemesisSeed);
-  S.Migration = NemMaster.next();
   Rng HealMaster(HealSeed);
+  if (IsPool)
+    S.Migration = NemMaster.next();
   for (size_t I = 0; I != DataGroups; ++I) {
-    S.Nemesis.push_back(NemMaster.next());
-    S.Healer.push_back(HealMaster.next());
+    S.Nemesis.push_back(IsPool ? NemMaster.next() : NemesisSeed);
+    S.Healer.push_back(IsPool ? HealMaster.next() : HealSeed);
   }
   return S;
 }
@@ -318,16 +314,12 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
     }
   };
 
-  if (Pool) {
-    Pool->start();
-    if (!Pool->runUntilAllLeaders(5000000))
-      Result.Violations.push_back(
-          "not every group elected a leader before chaos start");
-  } else {
-    Single->start();
-    if (!Single->runUntilLeader(5000000))
-      Result.Violations.push_back("no leader elected before chaos start");
-  }
+  for (GroupRun &GR : Groups)
+    GR.C->start();
+  if (Pool ? !Pool->runUntilAllLeaders(5000000)
+           : !Single->runUntilLeader(5000000))
+    Result.Violations.push_back(
+        "not every group elected a leader before chaos start");
   SimTime Start = Q.now();
   SimTime End = Start + Opts.Nemesis.HorizonUs + Opts.QuiescenceUs;
 
@@ -466,6 +458,9 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
   Result.OpsFailed = H.countWithOutcome(Outcome::Fail);
   Result.OpsIndeterminate = H.countWithOutcome(Outcome::Indeterminate);
   Result.ClampedPastSchedules = Q.stats().ClampedPastSchedules;
+  Result.HealedAll = true;
+  SimTime FirstKillAt = 0;
+  SimTime FinalKillAt = 0;
   for (GroupId G = 0; G != Groups.size(); ++G) {
     const GroupRun &GR = Groups[G];
     Result.MessagesSent += GR.C->messagesSent();
@@ -475,6 +470,32 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
     Result.CommittedEntries += GR.Ledger.Entries.size();
     if (Durable)
       Result.Store.accumulate(GR.C->storeStats());
+    if (const Nemesis *N = GR.N.get()) {
+      Result.NemesisActions += N->trace().size();
+      Result.ReconfigsRequested += N->reconfigsRequested();
+      Result.ReconfigsCommitted += N->reconfigsCommitted();
+      Result.HealedAll = Result.HealedAll && N->healedAll();
+      if (Pool)
+        Result.NemesisTrace += "group " + std::to_string(G) + ":\n";
+      Result.NemesisTrace += N->traceString();
+    }
+    if (const heal::Healer *Doc = GR.Doc.get()) {
+      for (const NemesisAction &A : GR.N->trace())
+        if (A.Desc.rfind("kill-forever", 0) == 0) {
+          if (!FirstKillAt || A.At < FirstKillAt)
+            FirstKillAt = A.At;
+          if (A.At > FinalKillAt)
+            FinalKillAt = A.At;
+        }
+      Result.PermanentKills += GR.N->killedForever().size();
+      Result.HealReconfigsCommitted += Doc->heals();
+      Result.HealReconfigRetries += Doc->retries();
+      for (NodeId Id : GR.C->universe()) {
+        const core::RaftCore &Core = GR.C->node(Id).core();
+        Result.SnapshotBytesTransferred += Core.snapshotBytesReceived();
+        Result.SnapshotsInstalled += Core.snapshotsInstalled();
+      }
+    }
     if (!Pool)
       continue;
     ChaosRunResult::GroupStatsEntry GS;
@@ -484,23 +505,11 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
       GS.Ops += Op.HasPlacement && Op.Group == G;
     Result.GroupStats.push_back(GS);
   }
-  Result.HealedAll = true;
   if (Driver) {
     Result.NemesisActions = Driver->trace().size();
     Result.ReconfigsRequested = Driver->requested();
     Result.ReconfigsCommitted = Driver->committed();
     Result.NemesisTrace = formatTrace(Driver->trace());
-  } else {
-    for (size_t G = FirstData; G != Groups.size(); ++G) {
-      const Nemesis &N = *Groups[G].N;
-      Result.NemesisActions += N.trace().size();
-      Result.ReconfigsRequested += N.reconfigsRequested();
-      Result.ReconfigsCommitted += N.reconfigsCommitted();
-      Result.HealedAll = Result.HealedAll && N.healedAll();
-      if (Pool)
-        Result.NemesisTrace += "group " + std::to_string(G) + ":\n";
-      Result.NemesisTrace += N.traceString();
-    }
   }
   Result.HistoryText = H.str();
   if (Pool) {
@@ -514,26 +523,6 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
     // The tick only samples every 50ms; catch a catch-up that completed
     // between the last tick and the end of the run.
     SampleFullReplication();
-    SimTime FirstKillAt = 0;
-    SimTime FinalKillAt = 0;
-    for (size_t G = FirstData; G != Groups.size(); ++G) {
-      const GroupRun &GR = Groups[G];
-      for (const NemesisAction &A : GR.N->trace())
-        if (A.Desc.rfind("kill-forever", 0) == 0) {
-          if (!FirstKillAt || A.At < FirstKillAt)
-            FirstKillAt = A.At;
-          if (A.At > FinalKillAt)
-            FinalKillAt = A.At;
-        }
-      Result.PermanentKills += GR.N->killedForever().size();
-      Result.HealReconfigsCommitted += GR.Doc->heals();
-      Result.HealReconfigRetries += GR.Doc->retries();
-      for (NodeId Id : GR.C->universe()) {
-        const core::RaftCore &Core = GR.C->node(Id).core();
-        Result.SnapshotBytesTransferred += Core.snapshotBytesReceived();
-        Result.SnapshotsInstalled += Core.snapshotsInstalled();
-      }
-    }
     if (FirstKillAt && FirstSuspectAt > FirstKillAt)
       Result.TimeToDetectUs = FirstSuspectAt - FirstKillAt;
     if (FullyReplicatedAt > FinalKillAt)

@@ -195,11 +195,8 @@ ChaosRunResult adore::chaos::runRtScenario(const RtRunOptions &Opts,
     Single = std::make_unique<rt::RtCluster>(CO);
     Groups.push_back(Single.get());
   }
-  auto TagOf = [&](GroupId G) -> std::string {
-    if (!Pool)
-      return "rt: ";
-    return G == shard::MetaGroupId ? "rt meta: "
-                                   : "rt group " + std::to_string(G) + ": ";
+  auto TagOf = [&](GroupId G) {
+    return Pool ? "rt group " + std::to_string(G) + ": " : std::string("rt: ");
   };
   for (rt::RtCluster *Grp : Groups)
     Grp->start();
@@ -278,11 +275,9 @@ ChaosRunResult adore::chaos::runRtScenario(const RtRunOptions &Opts,
         ++Result.OpsFailed;
     }
   };
-  auto AllLead = [&] {
-    for (rt::RtCluster *Grp : Groups)
-      if (Grp->waitForLeader(Opts.ConvergeTimeoutMs) == InvalidNodeId)
-        return false;
-    return true;
+  auto AllLead = [&, T = Opts.ConvergeTimeoutMs] {
+    return Pool ? Pool->waitForAllLeaders(T)
+                : Single->waitForLeader(T) != InvalidNodeId;
   };
 
   // The kill-forever heal loop: tick the group's Healer against its

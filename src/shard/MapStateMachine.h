@@ -76,14 +76,12 @@ public:
     // Compare-and-set on the generation: only the successor of the
     // current committed map installs.
     bool Install = M.valid() && M.Generation == Committed.Generation + 1;
-    if (Install && M.Generation <= Committed.Generation) {
-      Violations.push_back(
-          "pool map generation not monotone: committed gen " +
-          std::to_string(M.Generation) + " after " +
-          std::to_string(Committed.Generation));
-      Install = false;
-    }
     if (Install) {
+      if (M.Generation <= Committed.Generation)
+        Violations.push_back(
+            "pool map generation not monotone: committed gen " +
+            std::to_string(M.Generation) + " after " +
+            std::to_string(Committed.Generation));
       Committed = M;
       ++Changes;
     }
