@@ -225,9 +225,9 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
                     CO.Node);
   }
 
-  // Construction is the one shape-specific step: the groups under test
-  // are the one cluster, or the metadata group (index 0) plus the data
-  // groups of a pool, all on one timeline.
+  // Construction: the groups under test are the one cluster, or the
+  // metadata group (index 0) plus the data groups of a pool, all on one
+  // timeline.
   std::unique_ptr<sim::Cluster> Single;
   std::unique_ptr<sim::ShardedCluster> Pool;
   std::vector<GroupRun> Groups(IsPool ? DataGroups + 1 : 1);
