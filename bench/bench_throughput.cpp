@@ -14,13 +14,14 @@
 //                 ops/sec ceiling.
 //   open loop     submitAsync flood with completion tracked through the
 //                 cluster's apply tap — measures pipelined throughput,
-//                 which is where MaxAppendBatch coalescing, the
-//                 PipelineWindow in-flight window, and the host's inbox
-//                 batch draining (one WAL fsync per burst) actually pay.
+//                 which is where the PipelineWindow in-flight window
+//                 and the host's inbox batch draining (one WAL fsync
+//                 per burst) actually pay.
 //
 // Every (transport, mode) cell runs twice: the unit-window baseline
-// (window=1, batch=1, inbox=1 — the library defaults) and the
-// pipelined tuning, so the report carries its own control group.
+// (window=1, inbox=1 — the library defaults) and the pipelined tuning
+// (window=8 by default, inbox=16), so the report carries its own
+// control group.
 //
 // Usage:
 //   bench_throughput                 both transports, both modes
@@ -30,8 +31,6 @@
 //   bench_throughput --transport=T   bus | tcp | both (default both)
 //   bench_throughput --mode=M        open | closed | both (default both)
 //   bench_throughput --window N      pipelined tuning's PipelineWindow
-//   bench_throughput --batch N       pipelined tuning's MaxAppendBatch
-//                                    (inbox batch follows it)
 //   bench_throughput --durable       store-backed nodes on an idealized
 //                                    in-memory disk; reports fsync
 //                                    group-commit ratios
@@ -82,7 +81,6 @@ struct BenchOptions {
   bool RunOpen = true;
   bool RunClosed = true;
   size_t Window = 8;
-  size_t Batch = 16;
   bool Durable = false;
   size_t Groups = 1;
   /// Fraction of ops served as linearizable reads in the read-tier
@@ -91,12 +89,15 @@ struct BenchOptions {
   double ReadRatio = 0;
 };
 
+/// The pipelined tuning's host inbox batch: one WAL group commit per
+/// drained burst of up to this many inputs.
+constexpr size_t PipelinedInboxBatch = 16;
+
 /// One (transport, tuning, mode) cell's knobs.
 struct RunSpec {
   rt::TransportKind Transport = rt::TransportKind::Bus;
   const char *Tuning = "baseline"; ///< "baseline" or "pipelined".
   size_t Window = 1;
-  size_t Batch = 1;
   size_t InboxBatch = 1;
   const char *Mode = "closed"; ///< "closed" or "open".
 };
@@ -118,7 +119,7 @@ struct RunResult {
 int usage(const char *Prog) {
   std::fprintf(stderr,
                "usage: %s [--smoke] [--ops N] [--transport=bus|tcp|both] "
-               "[--mode=open|closed|both] [--window N] [--batch N] "
+               "[--mode=open|closed|both] [--window N] "
                "[--durable] [--groups N] [--read-ratio F]\n",
                Prog);
   return 2;
@@ -194,7 +195,6 @@ rt::RtClusterOptions clusterOptionsFor(const BenchOptions &Bench,
   CO.Scheme = SchemeKind::RaftSingleNode;
   CO.NumNodes = 3;
   CO.Seed = Seed;
-  CO.Node.MaxAppendBatch = Spec.Batch;
   CO.Node.PipelineWindow = Spec.Window;
   CO.Host.MaxInboxBatch = Spec.InboxBatch;
   CO.DurableStore = Bench.Durable;
@@ -491,11 +491,6 @@ int main(int Argc, char **Argv) {
         std::fprintf(stderr, "error: --window needs a positive integer\n");
         return usage(Argv[0]);
       }
-    } else if (std::strcmp(Argv[I], "--batch") == 0 && I + 1 < Argc) {
-      if (!parseCount(Argv[++I], Bench.Batch)) {
-        std::fprintf(stderr, "error: --batch needs a positive integer\n");
-        return usage(Argv[0]);
-      }
     } else if (std::strcmp(Argv[I], "--groups") == 0 && I + 1 < Argc) {
       if (!parseCount(Argv[++I], Bench.Groups)) {
         std::fprintf(stderr, "error: --groups needs a positive integer\n");
@@ -538,8 +533,8 @@ int main(int Argc, char **Argv) {
 
   std::printf("E9: replication hot-path throughput on the rt runtime\n");
   std::printf("%zu open-loop ops (%zu closed), pipelined tuning window=%zu "
-              "batch=%zu%s%s\n\n",
-              Bench.Ops, ClosedOps, Bench.Window, Bench.Batch,
+              "inbox=%zu%s%s\n\n",
+              Bench.Ops, ClosedOps, Bench.Window, PipelinedInboxBatch,
               Bench.Durable ? ", durable store" : "",
               Bench.Groups > 1 ? ", sharded pool" : "");
 
@@ -563,8 +558,7 @@ int main(int Argc, char **Argv) {
       RunSpec Piped = Base;
       Piped.Tuning = "pipelined";
       Piped.Window = Bench.Window;
-      Piped.Batch = Bench.Batch;
-      Piped.InboxBatch = Bench.Batch;
+      Piped.InboxBatch = PipelinedInboxBatch;
       Specs.push_back(Piped);
     }
 
@@ -605,7 +599,6 @@ int main(int Argc, char **Argv) {
     W.key("tuning").value(Spec.Tuning);
     W.key("mode").value(Spec.Mode);
     W.key("window").value(uint64_t(Spec.Window));
-    W.key("batch").value(uint64_t(Spec.Batch));
     W.key("inbox_batch").value(uint64_t(Spec.InboxBatch));
     W.key("ok").value(R.Ok);
     if (!R.Ok)

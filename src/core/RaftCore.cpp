@@ -20,6 +20,7 @@
 #include "support/Debug.h"
 
 #include <algorithm>
+#include <functional>
 
 using namespace adore;
 using namespace adore::core;
@@ -888,7 +889,6 @@ void RaftCore::clearLeaderHealthState() {
   AckedSinceBeat.clear();
   OutgoingSnaps.clear();
   Pipe.clear();
-  PendingBatch = 0;
   // Confirmation rounds, the lease, and read waiters are leader-local
   // too. Callers that owe the waiters a resolution (stepDown's
   // leadership exit) run failAllReads first; here the drop is silent
@@ -1272,7 +1272,6 @@ size_t RaftCore::sendAppendFrame(NodeId Peer, size_t Next, Effects &Out) {
 void RaftCore::broadcastAppends(Effects &Out, bool ResetPipe) {
   if (MyRole != Role::Leader)
     return;
-  PendingBatch = 0; // Any broadcast flushes a deferred batch.
   for (NodeId Peer : Scheme->mbrs(config())) {
     if (Peer == Id)
       continue;
@@ -1290,7 +1289,27 @@ void RaftCore::broadcastAppends(Effects &Out, bool ResetPipe) {
 }
 
 void RaftCore::advanceCommit(Effects &Out) {
-  for (size_t N = lastLogIndex(); N > CommitIndex; --N) {
+  // Index N commits when a quorum of configOfPrefix(N) holds it. The
+  // set holding N changes only just past a match index, and the
+  // prefix's configuration only at a reconfig entry, so the highest
+  // committable index tops one of those runs: the log end, a match
+  // index, or the index before a reconfig entry. Testing just those
+  // keeps an ack or a submit O(peers) instead of O(uncommitted
+  // entries), and commits exactly what a scan of every index would.
+  size_t Last = lastLogIndex();
+  if (Last <= CommitIndex)
+    return;
+  std::vector<size_t> Candidates{Last};
+  for (const auto &[Peer, Match] : MatchIndex)
+    if (Match > CommitIndex && Match < Last)
+      Candidates.push_back(Match);
+  for (auto It = ConfHist.rbegin();
+       It != ConfHist.rend() && It->first > CommitIndex + 1; ++It)
+    Candidates.push_back(It->first - 1);
+  std::sort(Candidates.begin(), Candidates.end(), std::greater<>());
+  Candidates.erase(std::unique(Candidates.begin(), Candidates.end()),
+                   Candidates.end());
+  for (size_t N : Candidates) {
     if (Log[N - 1].Term != Term)
       break; // Only own-term entries commit directly.
     NodeSet Replicated{Id};
@@ -1349,21 +1368,6 @@ bool RaftCore::submit(MethodId Method, uint64_t ClientSeq, Effects &Out) {
   E.Kind = EntryKind::Method;
   E.Method = Method;
   E.ClientSeq = ClientSeq;
-  if (Opts.MaxAppendBatch > 1) {
-    // Coalesced path: append locally but defer the broadcast until the
-    // batch fills, so one AppendEntries frame carries the whole burst.
-    // Any other broadcast — heartbeat, noop, reconfig, commit-advance —
-    // flushes a partial batch first, bounding the added latency by one
-    // heartbeat interval.
-    appendEntry(std::move(E));
-    updatePassivity();
-    if (++PendingBatch >= Opts.MaxAppendBatch) {
-      broadcastAppends(Out); // Resets PendingBatch.
-      advanceCommit(Out);    // Singleton configurations commit instantly.
-    }
-    finishStep(Out);
-    return true;
-  }
   appendOwn(std::move(E), Out);
   finishStep(Out);
   return true;

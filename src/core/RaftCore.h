@@ -259,15 +259,8 @@ struct CoreOptions {
   /// the first index never sent to that follower. An ack sends only
   /// entries past the cursor, so acks never re-send what is in flight;
   /// a heartbeat (the retransmission path for lost frames) and a
-  /// consistency NAK rewind it to the acked point. Both knobs default
-  /// to 1.
+  /// consistency NAK rewind it to the acked point.
   ///
-  /// MaxAppendBatch > 1 coalesces leader submits: a client entry is
-  /// appended locally but its broadcast is deferred until
-  /// MaxAppendBatch entries are pending (or any other broadcast — a
-  /// heartbeat, a noop, a reconfig — flushes the batch first), so one
-  /// AppendEntries carries the whole burst.
-  size_t MaxAppendBatch = 1;
   /// PipelineWindow = 1 sends one frame per broadcast (a submit, a
   /// commit advance) from the acked point, so a broadcast also
   /// retransmits the unacked suffix. PipelineWindow > 1 streams frames
@@ -476,9 +469,6 @@ public:
     auto It = Pipe.find(Peer);
     return It == Pipe.end() ? 0 : It->second.InFlight;
   }
-  /// Leader entries appended but not yet broadcast (always 0 with
-  /// MaxAppendBatch <= 1). Test introspection.
-  size_t pendingBatch() const { return PendingBatch; }
   /// Lease introspection for the model checker's cross-node invariants
   /// (no-two-live-leases, lease implies R2-clean log) and tests. A
   /// LeaseUntilUs of 0 means no lease was ever granted this term.
@@ -570,16 +560,14 @@ public:
       S.addString(Staging->Buf);
     }
     // Replication volatile state: the send cursor and window occupancy
-    // steer which AppendEntries frames a leader emits next, and a
-    // deferred batch steers when it emits them, so the model checker
-    // must distinguish them.
+    // steer which AppendEntries frames a leader emits next, so the
+    // model checker must distinguish them.
     S.addU64(Pipe.size());
     for (const auto &[Peer, PP] : Pipe) {
       S.addU32(Peer);
       S.addU64(PP.SentNext);
       S.addU64(PP.InFlight);
     }
-    S.addU64(PendingBatch);
     // Read-path state: rounds, leases, and queued reads all steer future
     // effect emission. Everything here is constant (zero/empty) with the
     // read tiers off, so legacy explorations keep their state counts.
@@ -783,9 +771,6 @@ private:
     size_t InFlight = 0;
   };
   std::map<NodeId, PeerPipe> Pipe;
-  /// Leader entries appended locally whose broadcast is deferred until
-  /// the batch fills (MaxAppendBatch) or any broadcast flushes it.
-  size_t PendingBatch = 0;
 
   //===--------------------------------------------------------------===//
   // Linearizable-read state (volatile; empty with the read tiers off)

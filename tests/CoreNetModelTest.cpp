@@ -337,12 +337,11 @@ TEST(CoreNetModelTest, ResultsAreIdenticalAcrossThreadCounts) {
   EXPECT_EQ(Results[0].Truncated, Results[1].Truncated);
 }
 
-TEST(CoreNetModelTest, PipelinedAndBatchedTuningStaysSafe) {
-  // The replication hot path (PipelineWindow > 1, MaxAppendBatch > 1)
-  // runs through the model checker's invariants too: windowed frames
-  // with stale PrevIndex anchors, deferred batch flushes, and the
-  // heartbeat rewind all interleave with elections and message loss
-  // here. Safety must come from the consensus rules, not from the
+TEST(CoreNetModelTest, PipelinedTuningStaysSafe) {
+  // The replication hot path (PipelineWindow > 1) runs through the
+  // model checker's invariants too: windowed frames with stale
+  // PrevIndex anchors and the heartbeat rewind interleave with
+  // elections and message loss here. Safety must come from the consensus rules, not from the
   // unit-window schedule the defaults happen to take.
   ModelHarness H;
   CoreNetModelOptions Opts;
@@ -352,7 +351,6 @@ TEST(CoreNetModelTest, PipelinedAndBatchedTuningStaysSafe) {
   Opts.WithReconfig = false;
   core::CoreOptions CoreOpts;
   CoreOpts.PipelineWindow = 2;
-  CoreOpts.MaxAppendBatch = 2;
   CoreNetModel M = H.make(3, Opts, CoreOpts);
   Engine<CoreNetModel> E(M, ExploreOptions{/*MaxDepth=*/0,
                                            /*MaxStates=*/150000,

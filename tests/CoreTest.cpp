@@ -1154,9 +1154,162 @@ TEST(ConfigIndexTest, MatchesLogScansUnderRandomMutation) {
 }
 
 //===----------------------------------------------------------------------===//
-// Replication hot path: MaxAppendBatch coalescing and the
-// PipelineWindow in-flight window (both default to 1; these tests
-// turn the knobs on)
+// Commit advance: a leader tests only the candidate indices (the log
+// end, each match index, and the index before each uncommitted reconfig
+// entry). This checks its decisions against a scan of every uncommitted
+// index after each step of random leader walks, for every scheme.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The highest index in (\p Commit, end of log] whose prefix a quorum of
+/// its own configuration holds under \p Matches, scanning every index
+/// from the top; \p Commit if none commits.
+size_t scanCommit(const RaftCore &C, const ReconfigScheme &S,
+                  const Config &Initial,
+                  const std::map<NodeId, size_t> &Matches, size_t Commit) {
+  for (size_t N = C.logSize(); N > Commit; --N) {
+    if (C.log()[N - 1].Term != C.term())
+      break;
+    NodeSet Replicated{C.id()};
+    for (const auto &[Peer, Match] : Matches)
+      if (Match >= N)
+        Replicated.insert(Peer);
+    if (S.isQuorum(Replicated, raft::configOfPrefix(C.log(), N, Initial)))
+      return N;
+  }
+  return Commit;
+}
+
+/// A starting configuration for \p K with node 1 a member; the joint
+/// scheme starts mid-transition.
+Config initialConfigFor(SchemeKind K) {
+  Config C(NodeSet{1, 2, 3});
+  switch (K) {
+  case SchemeKind::RaftJoint:
+    C.HasExtra = true;
+    C.Extra = NodeSet{1, 3, 4};
+    break;
+  case SchemeKind::PrimaryBackup:
+    C.Param = 2;
+    break;
+  case SchemeKind::DynamicQuorum:
+    C.Members = NodeSet{1, 2, 3, 4};
+    C.Param = 3;
+    break;
+  default:
+    break;
+  }
+  return C;
+}
+
+/// Successors of \p C that keep node 1 (the leader under test) a member.
+std::vector<Config> successorsKeepingNode1(const ReconfigScheme &S,
+                                           const Config &C) {
+  std::vector<Config> Out;
+  for (Config &Next : S.candidateReconfigs(C, NodeSet{1, 2, 3, 4, 5}))
+    if (S.mbrs(Next).contains(1))
+      Out.push_back(std::move(Next));
+  return Out;
+}
+
+} // namespace
+
+TEST(CommitAdvanceTest, CandidateWalkMatchesAFullScan) {
+  size_t Advances = 0, ShortOfEnd = 0, BeforeOwnReconfig = 0,
+         OwnReconfigPending = 0, MixedTerms = 0;
+  for (SchemeKind K : allSchemeKinds()) {
+    std::unique_ptr<ReconfigScheme> S = makeScheme(K);
+    Config Initial = initialConfigFor(K);
+    for (uint64_t Seed = 1; Seed <= 30; ++Seed) {
+      Rng R(Seed);
+      // Earlier terms' history, possibly with reconfig entries a deposed
+      // leader left uncommitted.
+      std::vector<LogEntry> Old;
+      Config Conf = Initial;
+      Time T = 1;
+      for (size_t I = R.nextBelow(8); I != 0; --I) {
+        if (R.nextChance(1, 3))
+          ++T;
+        LogEntry E;
+        E.Term = T;
+        E.Method = R.nextBelow(100);
+        std::vector<Config> Next = successorsKeepingNode1(*S, Conf);
+        if (!Next.empty() && R.nextChance(1, 3)) {
+          E.Kind = raft::EntryKind::Reconfig;
+          E.Conf = Conf = R.pick(Next);
+        }
+        Old.push_back(E);
+      }
+      RaftCore C(1, *S, Initial, CoreOptions(), Seed);
+      C.installDurableState(T, std::nullopt, Old,
+                            R.nextBelow(Old.size() + 1));
+      C.start();
+      C.onTimer(TimerId::Election, C.electionGen(), /*Now=*/0);
+      for (NodeId Voter : S->mbrs(C.config())) {
+        Msg Grant;
+        Grant.K = Msg::Kind::VoteReply;
+        Grant.From = Voter;
+        Grant.To = 1;
+        Grant.Term = C.term();
+        Grant.Granted = true;
+        if (Voter != 1 && !C.isLeader())
+          C.onMessage(Grant, /*Now=*/0);
+      }
+      ASSERT_TRUE(C.isLeader()) << S->name() << " seed " << Seed;
+
+      std::map<NodeId, size_t> Matches;
+      for (size_t Step = 0; Step != 60; ++Step) {
+        size_t Before = C.commitIndex();
+        Effects Out;
+        switch (R.nextBelow(4)) {
+        case 0:
+          C.submit(R.nextBelow(100), 0, Out);
+          break;
+        case 1: {
+          std::vector<Config> Next = successorsKeepingNode1(*S, C.config());
+          if (!Next.empty())
+            C.requestReconfig(R.pick(Next), Out);
+          break;
+        }
+        default: {
+          NodeId Peer = static_cast<NodeId>(R.nextInRange(2, 5));
+          size_t &Match = Matches[Peer];
+          Match = std::max<size_t>(Match, R.nextInRange(0, C.logSize()));
+          ackFrom(C, Peer, Match);
+          break;
+        }
+        }
+        ASSERT_EQ(C.commitIndex(), scanCommit(C, *S, Initial, Matches, Before))
+            << S->name() << " seed " << Seed << " step " << Step;
+        for (size_t N = Before + 1; N <= C.logSize(); ++N) {
+          const LogEntry &E = C.entry(N);
+          MixedTerms += E.Term != C.term() && N == Before + 1;
+          OwnReconfigPending += E.Term == C.term() &&
+                                E.Kind == raft::EntryKind::Reconfig &&
+                                N > C.commitIndex();
+        }
+        if (C.commitIndex() > Before) {
+          ++Advances;
+          ShortOfEnd += C.commitIndex() < C.logSize();
+          BeforeOwnReconfig +=
+              C.commitIndex() < C.logSize() &&
+              C.entry(C.commitIndex() + 1).Kind == raft::EntryKind::Reconfig;
+        }
+      }
+    }
+  }
+  // The walks reached every shape the candidate rule must get right.
+  EXPECT_GT(Advances, 300u);
+  EXPECT_GT(ShortOfEnd, 200u);
+  EXPECT_GT(BeforeOwnReconfig, 20u);
+  EXPECT_GT(OwnReconfigPending, 1000u);
+  EXPECT_GT(MixedTerms, 500u);
+}
+
+//===----------------------------------------------------------------------===//
+// Replication hot path: the PipelineWindow in-flight window (defaults
+// to 1; these tests turn it on)
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -1336,7 +1489,6 @@ TEST(PipelineTest, WindowDrainsOnLeadershipLoss) {
   EXPECT_FALSE(C.isLeader());
   EXPECT_EQ(C.inFlightTo(2), 0u);
   EXPECT_EQ(C.inFlightTo(3), 0u);
-  EXPECT_EQ(C.pendingBatch(), 0u);
 }
 
 TEST(PipelineTest, HeartbeatRewindsAndRetransmitsTheWindow) {
@@ -1381,79 +1533,6 @@ TEST(PipelineTest, CaughtUpFollowerStillGetsKeepAlives) {
   ASSERT_EQ(Sent.size(), 1u);
   EXPECT_EQ(Sent[0]->Entries.size(), 0u);
   EXPECT_EQ(Sent[0]->LeaderCommit, C.commitIndex());
-}
-
-TEST(BatchTest, SubmitsCoalesceIntoOneAppend) {
-  // batch=3: two submits defer (local append + persist only); the
-  // third flushes one AppendEntries per peer carrying all three.
-  CoreHarness H;
-  H.Opts.MaxAppendBatch = 3;
-  RaftCore C = H.make(1);
-  C.start();
-  electLeader(C);
-  C.onMessage(appendAck(C, 2, 1), /*Now=*/0); // Peer 2 caught up.
-
-  Effects S1, S2, S3;
-  ASSERT_TRUE(C.submit(10, 1, S1));
-  ASSERT_TRUE(C.submit(11, 2, S2));
-  EXPECT_EQ(appendsTo(S1, 2).size(), 0u);
-  EXPECT_EQ(appendsTo(S2, 2).size(), 0u);
-  EXPECT_EQ(count(S1, Effect::Kind::Persist), 1u); // Still durable.
-  EXPECT_EQ(C.pendingBatch(), 2u);
-
-  ASSERT_TRUE(C.submit(12, 3, S3));
-  EXPECT_EQ(C.pendingBatch(), 0u);
-  std::vector<const Msg *> Sent = appendsTo(S3, 2);
-  ASSERT_EQ(Sent.size(), 1u);
-  EXPECT_EQ(Sent[0]->PrevIndex, 1u);
-  EXPECT_EQ(Sent[0]->Entries.size(), 3u);
-}
-
-TEST(BatchTest, HeartbeatFlushesAPartialBatch) {
-  // A partial batch must never wait forever: the next heartbeat round
-  // broadcasts it, bounding the deferral by one heartbeat interval.
-  CoreHarness H;
-  H.Opts.MaxAppendBatch = 10;
-  RaftCore C = H.make(1);
-  C.start();
-  electLeader(C);
-  C.onMessage(appendAck(C, 2, 1), /*Now=*/0);
-
-  Effects Tmp;
-  ASSERT_TRUE(C.submit(10, 1, Tmp));
-  ASSERT_TRUE(C.submit(11, 2, Tmp));
-  EXPECT_EQ(C.pendingBatch(), 2u);
-
-  Effects Beat =
-      C.onTimer(TimerId::Heartbeat, C.heartbeatGen(), /*Now=*/0);
-  EXPECT_EQ(C.pendingBatch(), 0u);
-  std::vector<const Msg *> Sent = appendsTo(Beat, 2);
-  ASSERT_EQ(Sent.size(), 1u);
-  EXPECT_EQ(Sent[0]->Entries.size(), 2u);
-}
-
-TEST(BatchTest, ReconfigFlushesAPendingBatch) {
-  // Noop/reconfig appends go through appendOwn's immediate broadcast,
-  // which must flush any deferred client entries ahead of itself.
-  CoreHarness H;
-  H.Opts.MaxAppendBatch = 10;
-  RaftCore C = H.make(1);
-  C.start();
-  electLeader(C);
-  C.onMessage(appendAck(C, 2, 1), /*Now=*/0);
-
-  Effects Tmp;
-  ASSERT_TRUE(C.submit(10, 1, Tmp));
-  EXPECT_EQ(C.pendingBatch(), 1u);
-  Effects Rcf;
-  ASSERT_TRUE(C.requestReconfig(Config(NodeSet{1, 2}), Rcf));
-  EXPECT_EQ(C.pendingBatch(), 0u);
-  std::vector<const Msg *> Sent = appendsTo(Rcf, 2);
-  ASSERT_EQ(Sent.size(), 1u);
-  // The deferred method entry and the reconfig ride one frame.
-  ASSERT_EQ(Sent[0]->Entries.size(), 2u);
-  EXPECT_EQ(Sent[0]->Entries[0].Kind, raft::EntryKind::Method);
-  EXPECT_EQ(Sent[0]->Entries[1].Kind, raft::EntryKind::Reconfig);
 }
 
 namespace {
@@ -1583,15 +1662,14 @@ TEST(SendOnceTest, EachEntryShippedOncePerPeerWhenPipelined) {
   EXPECT_GT(L.KeepAlives, 0u);
 }
 
-TEST(PipelineTest, UnitWindowAndBatchReproduceLegacySchedule) {
-  // The acceptance pin for every seed-stable harness: window=1/batch=1
-  // must walk exactly the code paths the pre-pipelining core walked, so
-  // a default-options core and an explicit 1/1 core produce identical
+TEST(PipelineTest, UnitWindowReproducesLegacySchedule) {
+  // The acceptance pin for every seed-stable harness: window=1 must
+  // walk exactly the code paths the pre-pipelining core walked, so a
+  // default-options core and an explicit window=1 core produce identical
   // effect streams over a schedule that exercises election, submits,
   // acks, a nack, heartbeats, and commit advancement.
   CoreHarness HDefault, HUnit;
   HUnit.Opts.PipelineWindow = 1;
-  HUnit.Opts.MaxAppendBatch = 1;
   RaftCore A = HDefault.make(1, /*Seed=*/42);
   RaftCore B = HUnit.make(1, /*Seed=*/42);
 
@@ -1623,7 +1701,6 @@ TEST(PipelineTest, UnitWindowAndBatchReproduceLegacySchedule) {
   });
   EXPECT_EQ(A.inFlightTo(2), 0u);
   EXPECT_EQ(B.inFlightTo(2), 0u);
-  EXPECT_EQ(A.pendingBatch(), 0u);
 }
 
 //===----------------------------------------------------------------------===//

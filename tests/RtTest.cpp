@@ -524,14 +524,13 @@ TEST(RtClusterTest, TcpTransportElectsCommitsAndFailsOver) {
 }
 
 TEST(RtClusterTest, TcpPipelinedTuningCommitsConcurrentBursts) {
-  // The bench's hot-path tuning (pipelined replication, append
-  // batching, inbox-batch group commit) under concurrent clients on
-  // TCP: correctness must not depend on the unit-window defaults.
+  // The bench's hot-path tuning (pipelined replication, inbox-batch
+  // group commit) under concurrent clients on TCP: correctness must
+  // not depend on the unit-window defaults.
   RtClusterOptions Opts;
   Opts.Transport = TransportKind::Tcp;
   Opts.Seed = 29;
   Opts.Node.PipelineWindow = 8;
-  Opts.Node.MaxAppendBatch = 16;
   Opts.Host.MaxInboxBatch = 16;
   RtCluster C(Opts);
   C.start();
