@@ -802,6 +802,8 @@ void RaftCore::onInstallSnapshotReply(const Msg &M, Effects &Out) {
   if (It == OutgoingSnaps.end())
     return; // Stale ack for a transfer we already closed.
   SnapshotXfer &X = It->second;
+  if (M.SnapIndex != X.SnapIndex)
+    return; // A reply to an earlier transfer to this peer.
   if (!M.Success) {
     // The follower refused (e.g. a torn decode): abort the transfer and
     // fall back to ordinary incremental replication.

@@ -930,6 +930,70 @@ TEST(SnapshotTest, CorruptPayloadIsRefusedAndTransferRestarts) {
     EXPECT_EQ(F.entry(I), L.entry(I));
 }
 
+TEST(SnapshotTest, DoneFromAnEarlierTransferIsIgnored) {
+  // A duplicated Done from transfer A that lands while transfer B is in
+  // flight must not close B: the leader would credit node 3 with B's
+  // SnapIndex, which it never received, and re-anchor its appends past
+  // the end of node 3's log, where no NAK can rewind them.
+  CoreHarness H;
+  H.Opts.EnableSnapshotCatchup = true;
+  H.Opts.SnapshotLagEntries = 2;
+  H.Opts.SnapshotChunkBytes = 1 << 20; // Single-chunk transfers.
+  RaftCore L = makeLaggingLeader(H, 4);
+  RaftCore F = H.make(3);
+
+  Effects LE = beat(L);
+  const Msg *ChunkA = findSnapshotChunk(LE, 3);
+  ASSERT_NE(ChunkA, nullptr);
+  size_t IndexA = ChunkA->SnapIndex;
+  Effects FE = F.onMessage(*ChunkA, 0);
+  const Msg *ReplyA = findSnapshotReply(FE, 1);
+  ASSERT_NE(ReplyA, nullptr);
+  ASSERT_TRUE(ReplyA->Done);
+  Msg DoneA = *ReplyA;
+  L.onMessage(DoneA, 0);
+  ASSERT_FALSE(L.snapshotInFlightTo(3));
+  ASSERT_EQ(F.logSize(), IndexA);
+
+  // Node 3 hears nothing while node 2 acks four more entries, so it
+  // lags again and transfer B opens; B's first chunk is lost.
+  for (size_t I = 0; I != 4; ++I) {
+    Effects Out;
+    L.submit(/*Method=*/200 + I, /*ClientSeq=*/10 + I, Out);
+  }
+  ackFrom(L, 2, L.logSize());
+  beat(L);
+  ASSERT_TRUE(L.snapshotInFlightTo(3));
+  ASSERT_GT(L.commitIndex(), IndexA);
+
+  // From here node 2 is silent, and A's duplicated Done arrives.
+  L.onMessage(DoneA, 0);
+  EXPECT_TRUE(L.snapshotInFlightTo(3)) << "a stale Done closed transfer B";
+
+  // A new entry commits only once node 3 holds it. Heartbeats resend
+  // B's chunk, node 3 installs it, and the entry follows.
+  Effects Out;
+  ASSERT_TRUE(L.submit(/*Method=*/300, /*ClientSeq=*/20, Out));
+  for (int Round = 0; Round != 3; ++Round) {
+    std::deque<Msg> Wire;
+    auto Post = [&Wire](const Effects &Effs) {
+      for (const Effect &E : Effs)
+        if (E.K == Effect::Kind::Send && E.M.To != 2)
+          Wire.push_back(E.M);
+    };
+    Post(beat(L));
+    for (int Guard = 0; !Wire.empty() && Guard != 1000; ++Guard) {
+      Msg M = std::move(Wire.front());
+      Wire.pop_front();
+      Post(M.To == 3 ? F.onMessage(M, 0) : L.onMessage(M, 0));
+    }
+  }
+  EXPECT_EQ(L.commitIndex(), L.logSize());
+  ASSERT_EQ(F.logSize(), L.logSize());
+  for (size_t I = 1; I <= F.logSize(); ++I)
+    EXPECT_EQ(F.entry(I), L.entry(I)) << "index " << I;
+}
+
 TEST(SnapshotTest, PayloadCodecRejectsTruncationAndGarbage) {
   CoreHarness H;
   RaftCore L = makeLaggingLeader(H, 3);
