@@ -1294,10 +1294,11 @@ void RaftCore::advanceCommit(Effects &Out) {
   // Index N commits when a quorum of configOfPrefix(N) holds it. The
   // set holding N changes only just past a match index, and the
   // prefix's configuration only at a reconfig entry, so the highest
-  // committable index tops one of those runs: the log end, a match
-  // index, or the index before a reconfig entry. Testing just those
-  // keeps an ack or a submit O(peers) instead of O(uncommitted
-  // entries), and commits exactly what a scan of every index would.
+  // committable index ends a run on which both are constant: the log
+  // end, a match index, or the index before a reconfig entry. Testing
+  // just those costs O(peers + uncommitted reconfigs) per ack or
+  // submit, not O(uncommitted entries), and commits exactly what a
+  // scan of every index would.
   size_t Last = lastLogIndex();
   if (Last <= CommitIndex)
     return;
@@ -1309,8 +1310,6 @@ void RaftCore::advanceCommit(Effects &Out) {
        It != ConfHist.rend() && It->first > CommitIndex + 1; ++It)
     Candidates.push_back(It->first - 1);
   std::sort(Candidates.begin(), Candidates.end(), std::greater<>());
-  Candidates.erase(std::unique(Candidates.begin(), Candidates.end()),
-                   Candidates.end());
   for (size_t N : Candidates) {
     if (Log[N - 1].Term != Term)
       break; // Only own-term entries commit directly.
