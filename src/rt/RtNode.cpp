@@ -169,9 +169,11 @@ void RtNode::run() {
     // Drain a batch: consecutive core-step items (frames, submits,
     // reconfigs) coalesce into ONE effect batch, so a store-backed
     // host's persist pre-pass fsyncs once for the whole burst (group
-    // commit). Crash/restart are barriers and run alone, preserving
-    // their store side-effect ordering. MaxInboxBatch=1 reproduces the
-    // legacy one-item-one-dispatch schedule exactly.
+    // commit). This is the only batching on the write path: the core
+    // emits each submit's frames as it steps it, and they leave
+    // together after the fsync. Crash/restart are barriers and run
+    // alone, preserving their store side-effect ordering.
+    // MaxInboxBatch=1 reproduces the one-item-one-dispatch schedule.
     Item First = std::move(Inbox.front());
     Inbox.pop_front();
     if (!isBatchable(First)) {
