@@ -341,8 +341,9 @@ TEST(CoreNetModelTest, PipelinedTuningStaysSafe) {
   // The replication hot path (PipelineWindow > 1) runs through the
   // model checker's invariants too: windowed frames with stale
   // PrevIndex anchors and the heartbeat rewind interleave with
-  // elections and message loss here. Safety must come from the consensus rules, not from the
-  // unit-window schedule the defaults happen to take.
+  // elections and message loss here. Safety must come from the
+  // consensus rules, not from the unit-window schedule the defaults
+  // happen to take.
   ModelHarness H;
   CoreNetModelOptions Opts;
   Opts.MaxTerm = 2;

@@ -1311,14 +1311,15 @@ TEST(CommitAdvanceTest, CandidateWalkMatchesAFullScan) {
       C.start();
       C.onTimer(TimerId::Election, C.electionGen(), /*Now=*/0);
       for (NodeId Voter : S->mbrs(C.config())) {
+        if (Voter == 1 || C.isLeader())
+          continue;
         Msg Grant;
         Grant.K = Msg::Kind::VoteReply;
         Grant.From = Voter;
         Grant.To = 1;
         Grant.Term = C.term();
         Grant.Granted = true;
-        if (Voter != 1 && !C.isLeader())
-          C.onMessage(Grant, /*Now=*/0);
+        C.onMessage(Grant, /*Now=*/0);
       }
       ASSERT_TRUE(C.isLeader()) << S->name() << " seed " << Seed;
 
@@ -1346,13 +1347,11 @@ TEST(CommitAdvanceTest, CandidateWalkMatchesAFullScan) {
         }
         ASSERT_EQ(C.commitIndex(), scanCommit(C, *S, Initial, Matches, Before))
             << S->name() << " seed " << Seed << " step " << Step;
-        for (size_t N = Before + 1; N <= C.logSize(); ++N) {
-          const LogEntry &E = C.entry(N);
-          MixedTerms += E.Term != C.term() && N == Before + 1;
-          OwnReconfigPending += E.Term == C.term() &&
-                                E.Kind == raft::EntryKind::Reconfig &&
-                                N > C.commitIndex();
-        }
+        MixedTerms += C.logSize() > Before &&
+                      C.entry(Before + 1).Term != C.term();
+        for (size_t N = C.commitIndex() + 1; N <= C.logSize(); ++N)
+          OwnReconfigPending += C.entry(N).Term == C.term() &&
+                                C.entry(N).Kind == raft::EntryKind::Reconfig;
         if (C.commitIndex() > Before) {
           ++Advances;
           ShortOfEnd += C.commitIndex() < C.logSize();
