@@ -26,9 +26,6 @@ namespace {
 /// The one place the POSIX sockaddr aliasing contract is honored.
 /// adore_lint allowlists this file for decode-cast: the cast converts
 /// an address we built, not untrusted bytes we received.
-const sockaddr *asSockaddr(const sockaddr_in &A) {
-  return reinterpret_cast<const sockaddr *>(&A);
-}
 sockaddr *asSockaddr(sockaddr_in &A) {
   return reinterpret_cast<sockaddr *>(&A);
 }

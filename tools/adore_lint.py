@@ -162,7 +162,7 @@ ALLOWLIST = {
     "mc/Engine.h": {"purity-include", "purity-token"},
     # The socket syscall boundary: bind/connect/accept require the
     # sockaddr aliasing dance the POSIX API forces. The casts are
-    # confined to the asSockaddr helpers; every byte that comes OFF the
+    # confined to the asSockaddr helper; every byte that comes OFF the
     # wire still parses through codec::Cursor (net/Framing.h).
     "net/TcpTransport.cpp": {"decode-cast"},
 }
