@@ -154,7 +154,6 @@ int runHealing() {
   Opts.NumNodes = 3;
   Opts.NumSpares = 2; // passive until a heal reconfig adopts them
   Opts.Seed = 42;
-  Opts.Node.EnableSuspicion = true; // missed-ack detector on the leader
   Opts.Node.EnableSnapshotCatchup = true;
   Opts.Node.SnapshotLagEntries = 8; // snapshot any follower 8+ behind
   Opts.OnSuspicion = [&](NodeId Observer, NodeId Peer, bool SuspectedNow) {

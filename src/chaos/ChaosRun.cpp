@@ -206,7 +206,6 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
   bool Healing = Opts.Nemesis.Kind == Scenario::KillForever;
   Result.Healing = Healing;
   if (Healing) {
-    CO.Node.EnableSuspicion = true;
     CO.Node.EnableSnapshotCatchup = true;
     CO.Node.SnapshotLagEntries = 8;
   }

@@ -146,7 +146,6 @@ ChaosRunResult adore::chaos::runRtScenario(const RtRunOptions &Opts,
   std::vector<std::unique_ptr<heal::Healer>> Healers;
   uint64_t FirstSuspectUs = 0;
   if (Healing) {
-    CO.Node.EnableSuspicion = true;
     CO.Node.EnableSnapshotCatchup = true;
     CO.Node.SnapshotLagEntries = 8;
     HealScheme = makeScheme(Opts.Scheme);

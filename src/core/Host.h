@@ -55,12 +55,11 @@ struct HostHooks {
   /// The node won the election for the given term.
   std::function<void(NodeId, Time)> OnLeader;
   /// Leader-observed liveness transition: (observer, peer, suspected).
-  /// Fires only with CoreOptions::EnableSuspicion.
   std::function<void(NodeId, NodeId, bool)> OnSuspicion;
   /// Read outcome: (node, ReadId, ok, safe index). On ok the node's
   /// applied state machine has reached the safe index, so serving the
-  /// read from this replica is linearizable. Fires only when a read
-  /// tier (CoreOptions::EnableReadIndex/...) is on.
+  /// read from this replica is linearizable. Fires only for reads the
+  /// host issued through the core's read path.
   std::function<void(NodeId, uint64_t, bool, size_t)> OnRead;
 };
 

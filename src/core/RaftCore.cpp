@@ -422,7 +422,7 @@ Effects RaftCore::onTimer(TimerId Timer, uint64_t Gen, uint64_t NowUs) {
       // Probes lost in flight get retransmitted each heartbeat without
       // bumping the round id — stale acks stay countable.
       probeRound(Out);
-    } else if (Opts.EnableLease && logSatisfiesR2() &&
+    } else if (effectiveLeaseUs() > 0 && logSatisfiesR2() &&
                (!leaseLive(NowUs) || RoundStartUs < NowUs)) {
       // Keep the lease warm: renew one heartbeat at a time so the
       // expiry horizon keeps sliding while a quorum keeps answering.
@@ -849,12 +849,12 @@ void RaftCore::sendSnapshotChunk(NodeId Peer, Effects &Out) {
 //===----------------------------------------------------------------------===//
 
 void RaftCore::noteAck(NodeId Peer) {
-  if (Opts.EnableSuspicion && MyRole == Role::Leader)
+  if (MyRole == Role::Leader)
     AckedSinceBeat.insert(Peer);
 }
 
 void RaftCore::suspicionRound(Effects &Out) {
-  if (!Opts.EnableSuspicion || MyRole != Role::Leader)
+  if (MyRole != Role::Leader)
     return;
   NodeSet Members = Scheme->mbrs(config());
   // Reconfigured-out replicas drop off the books entirely — a node we
@@ -956,7 +956,7 @@ void RaftCore::probeRound(Effects &Out) {
 
 void RaftCore::completeReadRound(uint64_t NowUs, Effects &Out) {
   RoundInFlight = false;
-  if (Opts.EnableLease && logSatisfiesR2()) {
+  if (logSatisfiesR2()) {
     // Anchor at the round's *start*: every ack's follower-side promise
     // (no votes for ElectionTimeoutMinUs after receipt) began no
     // earlier than the probes left, so the derated window measured
@@ -1031,17 +1031,13 @@ bool RaftCore::readQuery(uint64_t ReadId, uint64_t NowUs, Effects &Out) {
     return false;
   }
   if (MyRole == Role::Leader) {
-    if (Opts.EnableLease && leaseLive(NowUs)) {
+    if (leaseLive(NowUs)) {
       // Sole-committer fast path: while the lease holds, no other
       // leader can commit, so the current commit index is complete and
       // the read is served with zero message delays.
       Out.push_back(Effect::readReady(ReadId, CommitIndex));
       finishStep(Out);
       return true;
-    }
-    if (!Opts.EnableReadIndex) {
-      Out.push_back(Effect::readFailed(ReadId));
-      return false;
     }
     ReadWaiter W;
     W.ReadId = ReadId;
@@ -1056,7 +1052,7 @@ bool RaftCore::readQuery(uint64_t ReadId, uint64_t NowUs, Effects &Out) {
   // Follower path: forward to the last known leader and wait for its
   // safe index. Without a hint there is nowhere to forward — fail fast
   // and let the client route to the leader itself.
-  if (Opts.EnableFollowerReads && LeaderHint && *LeaderHint != Id) {
+  if (LeaderHint && *LeaderHint != Id) {
     uint64_t Cookie = ++NextReadCookie;
     FwdRead F;
     F.Cookie = Cookie;
@@ -1118,14 +1114,9 @@ void RaftCore::onReadIndexQuery(const Msg &M, uint64_t NowUs, Effects &Out) {
     Out.push_back(Effect::send(std::move(Reply)));
     return;
   }
-  if (Opts.EnableLease && leaseLive(NowUs)) {
+  if (leaseLive(NowUs)) {
     Reply.Success = true;
     Reply.LeaderCommit = CommitIndex;
-    Out.push_back(Effect::send(std::move(Reply)));
-    return;
-  }
-  if (!Opts.EnableReadIndex) {
-    Reply.Success = false;
     Out.push_back(Effect::send(std::move(Reply)));
     return;
   }

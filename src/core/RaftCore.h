@@ -183,9 +183,9 @@ struct Effect {
     ReadReady,        ///< Read ReadId may be served once the local state
                       ///< machine has applied through Index (already true
                       ///< when emitted; see readQuery).
-    ReadFailed,       ///< Read ReadId cannot be served here (not leader /
-                      ///< no read tier enabled / leadership lost / NACKed
-                      ///< forward); the client should retry at the leader.
+    ReadFailed,       ///< Read ReadId cannot be served here (no leader
+                      ///< hint / leadership lost / NACKed forward); the
+                      ///< client should retry at the leader.
   };
 
   Kind K = Kind::Send;
@@ -239,9 +239,8 @@ struct CoreOptions {
   /// The peer is suspected at >= SuspicionSuspectScore and recovered at
   /// <= SuspicionRecoverScore — the gap is the hysteresis band that
   /// keeps a flapping link from toggling the healer every round.
-  /// Surfaced as ReplicaSuspected/ReplicaRecovered effects. Off by
-  /// default so pre-healing hosts keep byte-identical schedules.
-  bool EnableSuspicion = false;
+  /// Surfaced as ReplicaSuspected/ReplicaRecovered effects; a host
+  /// with no healer may ignore them.
   uint32_t SuspicionSuspectScore = 8;
   uint32_t SuspicionRecoverScore = 2;
 
@@ -249,8 +248,13 @@ struct CoreOptions {
   /// index by more than SnapshotLagEntries, replicate via a chunked
   /// InstallSnapshot transfer of the whole committed prefix instead of
   /// MaxEntriesPerAppend-sized AppendEntries rounds. Chunks resume from
-  /// the follower's acked offset after drops. Off by default for the
-  /// same schedule-stability reason.
+  /// the follower's acked offset after drops. Off by default because
+  /// replicateTo measures the lag from NextIndex, the acked point: a
+  /// pipelined follower with up to PipelineWindow*MaxEntriesPerAppend
+  /// entries still in flight looks lagged and gets a whole-log
+  /// snapshot. Measured on bench_throughput's pipelined open loop on a
+  /// 4-core host, on by default drops 197k-268k ops/s to 22k-128k on
+  /// the bus and 213k-275k to 35k-71k on TCP.
   bool EnableSnapshotCatchup = false;
   size_t SnapshotLagEntries = 64;
   size_t SnapshotChunkBytes = 4096;
@@ -267,43 +271,48 @@ struct CoreOptions {
   /// from the cursor, each entry once, up to that many unacked
   /// entry-bearing frames per follower, and sends an empty keep-alive
   /// (carrying the commit index) only when none is in flight.
+  ///
+  /// The default stays 1 because the sim's links reorder, and reordered
+  /// pipelined frames NAK and rewind: on perfbench's
+  /// reconfig-failover-sim (seed 1, virtual time) window 8 raises
+  /// op_p50_us from 3433 to 3865 and op_p99_us from 185,096 to 203,471,
+  /// and streaming from the cursor at window 1 raises op_p50_us to 4500.
   size_t PipelineWindow = 1;
 
   /// Linearizable read path (src/read layers client policy on top of
-  /// these). All OFF by default: readQuery() then fails every read and
-  /// no ReadIndexQuery/ReadIndexReply traffic exists, keeping legacy
-  /// schedules byte-identical.
+  /// it). readQuery() never touches the log:
   ///
-  /// Tier 1 — ReadIndex: a leader serving a read captures its commit
-  /// index and confirms it still leads via one probe round (a quorum of
-  /// ReadIndexQuery/Reply exchanges); reads arriving while a round is in
-  /// flight batch behind the *next* round (acks predating a read prove
-  /// nothing about it). No log append, no fsync.
-  bool EnableReadIndex = false;
-  /// Tier 2 — leader leases: a completed probe round also grants a
-  /// lease anchored at the round's *start* time; while the lease is
-  /// live the leader serves reads (and answers forwarded reads)
-  /// immediately, with no probe round at all. Safety rests on the vote
-  /// stickiness promise (followers refuse votes for ElectionTimeoutMinUs
-  /// after leader contact) shrunk by the declared clock-drift bound; a
-  /// lease is deliberately killed when a reconfiguration is *appended*
-  /// (not committed): a quorum granted under config C must never outlive
-  /// C's replacement. Implies the ReadIndex machinery for the rounds.
-  bool EnableLease = false;
+  /// - A leader captures its commit index and confirms it still leads
+  ///   via one probe round (a quorum of ReadIndexQuery/Reply exchanges);
+  ///   reads arriving while a round is in flight batch behind the
+  ///   *next* round (acks predating a read prove nothing about it).
+  /// - A follower with a leader hint forwards the read there (one small
+  ///   ReadIndexQuery, not a log round). The leader answers with the
+  ///   commit index it held on arrival, at once under a live lease or
+  ///   else after one probe round, and the follower serves once applied
+  ///   through it. A non-leader NACKs, and the client falls back to the
+  ///   leader.
+  ///
+  /// A lease exists iff effectiveLeaseUs() > 0, i.e. LeaseDurationUs is
+  /// set and MaxDriftPpm is below 50%. A completed probe round then also
+  /// grants a lease anchored at the round's *start* time, heartbeats
+  /// keep renewing it, and while it is live the leader serves reads (and
+  /// answers forwarded reads) immediately, with no probe round at all.
+  /// Safety rests on the vote stickiness promise (followers refuse votes
+  /// for ElectionTimeoutMinUs after leader contact) shrunk by the
+  /// declared clock-drift bound; a lease is deliberately killed when a
+  /// reconfiguration is *appended* (not committed): a quorum granted
+  /// under config C must never outlive C's replacement.
+  ///
   /// Requested lease length; the effective lease is
   /// min(LeaseDurationUs, ElectionTimeoutMinUs) derated by 2*MaxDriftPpm
   /// (the granting quorum's clocks may run slow while ours runs fast).
+  /// 0, the default, means no lease.
   uint64_t LeaseDurationUs = 0;
   /// Declared worst-case clock drift, parts per million, symmetric.
   /// The deployment promises |each clock's rate - 1| <= MaxDriftPpm/1e6;
   /// the lease math consumes it. >= 500000 (50%) disables leases.
   uint64_t MaxDriftPpm = 0;
-  /// Tier 3 — lease-protected follower reads: a follower forwards the
-  /// read to its leader hint (one small ReadIndexQuery, not a log
-  /// round); a lease-holding leader answers with its commit index and
-  /// the follower serves once applied through it. Wrong leader or no
-  /// live lease NACKs, and the client falls back to the leader.
-  bool EnableFollowerReads = false;
   /// Injectable misbehavior: leaseLive() ignores lease *expiry* (it
   /// still requires a lease to have been granted in the current term).
   /// Exists so mutation tests can serve a provably stale read and
@@ -401,10 +410,9 @@ public:
   /// Resolves — possibly within this call, possibly later — as exactly
   /// one ReadReady{ReadId, Index} (serve from the applied state machine,
   /// which has reached Index) or ReadFailed{ReadId} (retry elsewhere,
-  /// normally at the leader). Which tier answers depends on CoreOptions:
-  /// a lease-holding leader answers instantly, a ReadIndex leader after
-  /// a probe round, a follower (EnableFollowerReads) by forwarding to
-  /// its leader hint. With every tier off this always fails. Returns
+  /// normally at the leader). A lease-holding leader answers instantly,
+  /// any other leader after a probe round, a follower by forwarding to
+  /// its leader hint; a follower with no hint fails at once. Returns
   /// false iff the read failed synchronously.
   bool readQuery(uint64_t ReadId, uint64_t NowUs, Effects &Out);
 
@@ -569,8 +577,8 @@ public:
       S.addU64(PP.InFlight);
     }
     // Read-path state: rounds, leases, and queued reads all steer future
-    // effect emission. Everything here is constant (zero/empty) with the
-    // read tiers off, so legacy explorations keep their state counts.
+    // effect emission. Everything here stays zero/empty while no read
+    // is issued and no lease is configured.
     S.addU64(ReadRound);
     S.addU64(RoundStartUs);
     S.addNodeSet(RoundAcks);
@@ -636,9 +644,10 @@ private:
   void startReadRound(uint64_t NowUs, Effects &Out);
   /// Re-emits the current round's probes (heartbeat retransmission).
   void probeRound(Effects &Out);
-  /// A quorum acked round ReadRound: grant/extend the lease (EnableLease,
-  /// anchored at RoundStartUs), release every waiter whose round
-  /// requirement is met, and start the next round if any remain.
+  /// A quorum acked round ReadRound: grant/extend the lease (when
+  /// effectiveLeaseUs() > 0, anchored at RoundStartUs), release every
+  /// waiter whose round requirement is met, and start the next round
+  /// if any remain.
   void completeReadRound(uint64_t NowUs, Effects &Out);
   /// Fails every queued read (local waiters and follower-side state),
   /// NACKs forwarded ones, and aborts any round in flight; called on any
@@ -773,7 +782,7 @@ private:
   std::map<NodeId, PeerPipe> Pipe;
 
   //===--------------------------------------------------------------===//
-  // Linearizable-read state (volatile; empty with the read tiers off)
+  // Linearizable-read state (volatile; empty until a read or a lease)
   //===--------------------------------------------------------------===//
 
   /// Leader-side confirmation rounds. ReadRound counts rounds this

@@ -61,8 +61,8 @@ public:
 
   /// Serve un-pinned reads through the lease-protected fast path
   /// (ReplicatedKvStore::getFast, at a follower) instead of the leader
-  /// commit barrier. Only meaningful when the pool's groups run with the
-  /// read tiers enabled; a fast read the group cannot prove safe comes
+  /// commit barrier. Fast only when the pool's groups hold leases (a
+  /// lease read tier); a fast read the group cannot prove safe comes
   /// back as a GroupReply::ReadNack, which the routing client answers by
   /// re-sending the read pinned to the leader. Default off: every legacy
   /// sharded run keeps the barrier-read path byte-identical.

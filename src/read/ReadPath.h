@@ -6,12 +6,11 @@
 ///
 /// \file
 /// The read-path configuration surface: one enum naming the three
-/// escalating linearizable-read tiers the core implements, plus the
-/// translation from a tier choice into the core::CoreOptions knobs that
-/// realize it. Hosts (sim, rt, chaos, bench) pick a tier; this header
-/// is the single place that knows which core switches a tier implies,
-/// so a host can never enable follower reads without the lease they
-/// depend on, or a lease without the ReadIndex machinery underneath.
+/// escalating linearizable-read tiers, plus the translation from a tier
+/// choice into the core::CoreOptions lease parameters. The core always
+/// serves ReadIndex reads and forwards follower reads; a tier is client
+/// policy (where a host sends a read, and whether it reads through the
+/// log at all) plus the lease length the lease tiers need.
 ///
 /// Tier ladder (each includes everything below it):
 ///
@@ -25,9 +24,10 @@
 ///                 clock drift (MaxDriftPpm) and dies the moment a
 ///                 reconfiguration is appended.
 ///   FollowerLease followers serve reads at a leader-supplied safe
-///                 index while the leader's lease covers it; a
-///                 wrong-leader or expired-lease NACK falls back to a
-///                 retry at the leader (read/ReadTracker.h).
+///                 index, which the leader answers at once under its
+///                 lease and otherwise after one confirmation round; a
+///                 wrong-leader NACK falls back to a retry at the
+///                 leader (read/ReadTracker.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,8 +51,7 @@ enum class ReadTier : uint8_t {
 };
 
 /// A tier plus the timing parameters the lease tiers need. The
-/// defaults keep every tier OFF and the core's legacy schedule
-/// byte-identical.
+/// defaults read through the log and grant no lease.
 struct ReadOptions {
   ReadTier Tier = ReadTier::Off;
   /// Requested lease length; the core clamps it to the minimum
@@ -80,19 +79,13 @@ inline const char *tierName(ReadTier T) {
   return "?";
 }
 
-/// Projects a tier choice onto the core's option set. Only ever turns
-/// switches ON relative to \p Opts defaults; an Off tier leaves the
-/// options untouched so legacy schedules stay byte-identical.
+/// Projects a tier choice onto the core's option set: the lease tiers
+/// set the lease parameters, and lower tiers leave \p Opts untouched.
 inline void applyTier(const ReadOptions &RO, core::CoreOptions &Opts) {
-  if (RO.Tier >= ReadTier::ReadIndex)
-    Opts.EnableReadIndex = true;
   if (RO.Tier >= ReadTier::Lease) {
-    Opts.EnableLease = true;
     Opts.LeaseDurationUs = RO.LeaseDurationUs;
     Opts.MaxDriftPpm = RO.MaxDriftPpm;
   }
-  if (RO.Tier >= ReadTier::FollowerLease)
-    Opts.EnableFollowerReads = true;
 }
 
 } // namespace read

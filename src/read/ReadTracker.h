@@ -9,8 +9,9 @@
 /// chooses which replica a fresh read should target under the active
 /// tier (leader, or round-robin across followers when the tier permits
 /// follower reads), and owns the NACK fallback policy — a follower
-/// that answers "not leader / lease expired" sends the read back to
-/// the leader exactly once before the attempt is declared failed.
+/// that fails the read (no leader hint, or a wrong-leader NACK) sends
+/// it back to the leader exactly once before the attempt is declared
+/// failed.
 ///
 /// Like shard/ShardedKvClient, the tracker never talks to a network:
 /// hosts feed it outcomes and ask it where to go next, so the whole

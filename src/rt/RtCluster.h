@@ -74,8 +74,8 @@ struct RtClusterOptions {
   std::function<void(NodeId, size_t, const core::LogEntry &)> OnApplyExtra;
   /// Observation tap for suspicion transitions (observer, peer,
   /// suspected-now), called from node worker threads outside the
-  /// cluster's locks. Requires Node.EnableSuspicion to ever fire; the
-  /// self-healing driver hangs its Healer off this.
+  /// cluster's locks. The self-healing driver hangs its Healer off
+  /// this.
   std::function<void(NodeId, NodeId, bool)> OnSuspicion;
   uint64_t Seed = 1;
   core::CoreOptions Node = fastNodeOptions();
@@ -159,10 +159,9 @@ public:
   /// true once a Reconfig entry carrying it is observed committed.
   bool reconfigAndWait(const Config &NewConf, uint64_t TimeoutMs);
 
-  /// Issues a linearizable read (requires a read tier in Opts.Node,
-  /// e.g. Node.EnableReadIndex) and blocks until it resolves or
-  /// \p TimeoutMs elapses. Targets the node currently claiming
-  /// leadership, or — with \p AtFollower and EnableFollowerReads — a
+  /// Issues a linearizable read through the core's read path and
+  /// blocks until it resolves or \p TimeoutMs elapses. Targets the node
+  /// currently claiming leadership, or — with \p AtFollower — a
   /// non-leader replica, falling back to the leader when the follower
   /// NACKs. Returns the safe index the read was served at, or nullopt.
   /// Every successful read is checked against the committed ledger

@@ -161,8 +161,7 @@ public:
                        std::function<void(bool Ok, SimTime LatencyUs)> Done,
                        SimTime MaxTriesUs = 10000000);
 
-  /// Linearizable read through the protocol read path (requires a read
-  /// tier in Opts.Node, e.g. EnableReadIndex). \p Done fires with
+  /// Linearizable read through the protocol read path. \p Done fires with
   /// success, the node that served the read, and the safe index it was
   /// served at — by then that node's applied state machine covers the
   /// index, so reading its replica is linearizable. With \p AtFollower

@@ -523,8 +523,6 @@ TEST(ReadChaosTest, LeaseExpiryMutationIsCaughtByTheChecker) {
   // feeding that read into the linearizability checker must fail the
   // history. This proves the checker (not luck) guards the lease math.
   sim::ClusterOptions Opts;
-  Opts.Node.EnableReadIndex = true;
-  Opts.Node.EnableLease = true;
   Opts.Node.LeaseDurationUs = 100000;
   Opts.Node.TestIgnoreLeaseExpiry = true;
   TestCluster TC(3, 0, /*Seed=*/9, Opts);

@@ -58,9 +58,13 @@ TEST(CoreNetModelTest, TwoNodeExhaustiveNoViolations) {
   // 136228 when leaders started keeping a send cursor at window 1 (acks
   // send only entries the follower was never sent): the cursor is
   // fingerprinted, so states differing only in it are now distinct.
+  // They rose again from 34863 / 139620 when suspicion accounting
+  // became unconditional: a leader's per-peer scores and its
+  // acked-since-heartbeat set are fingerprinted, so the failure
+  // detector the healer depends on is now explored here too.
   EXPECT_TRUE(R.exhausted());
-  EXPECT_EQ(R.States, 34863u);
-  EXPECT_EQ(R.Transitions, 139620u);
+  EXPECT_EQ(R.States, 107179u);
+  EXPECT_EQ(R.Transitions, 436872u);
 }
 
 TEST(CoreNetModelTest, ThreeNodeBoundedWithReconfigNoViolations) {
@@ -129,7 +133,7 @@ TEST(CoreNetModelTest, SelfHealingExtensionsStaySafe) {
   // Suspicion scoring and chunked snapshot catch-up both extend the
   // core's transition relation (new counters steer effect emission, a
   // new message kind mutates follower logs wholesale). Explore the
-  // production core with both switched on and aggressive thresholds
+  // production core with snapshot catch-up on and aggressive thresholds
   // (suspect after 2 silent rounds, snapshot any follower 1 entry
   // behind, 64-byte chunks so transfers take multiple round trips) and
   // require every safety invariant — election safety, log matching,
@@ -142,7 +146,6 @@ TEST(CoreNetModelTest, SelfHealingExtensionsStaySafe) {
   Opts.MaxPending = 4;
   Opts.WithReconfig = true;
   core::CoreOptions CoreOpts;
-  CoreOpts.EnableSuspicion = true;
   CoreOpts.SuspicionSuspectScore = 2;
   CoreOpts.SuspicionRecoverScore = 1;
   CoreOpts.EnableSnapshotCatchup = true;
@@ -213,11 +216,8 @@ TEST(CoreNetModelTest, LeaseReadsUnderDriftingClocksStaySafe) {
   core::CoreOptions CoreOpts;
   CoreOpts.ElectionTimeoutMinUs = 4000;
   CoreOpts.ElectionTimeoutMaxUs = 8000;
-  CoreOpts.EnableReadIndex = true;
-  CoreOpts.EnableLease = true;
   CoreOpts.LeaseDurationUs = 4000;
   CoreOpts.MaxDriftPpm = 250000;
-  CoreOpts.EnableFollowerReads = true;
   CoreNetModel M = H.make(2, Opts, CoreOpts);
   Engine<CoreNetModel> E(M, ExploreOptions{/*MaxDepth=*/0,
                                            /*MaxStates=*/150000,
@@ -256,8 +256,6 @@ TEST(CoreNetModelTest, BrokenDriftPromiseIsCaughtByTheLeaseInvariant) {
   core::CoreOptions CoreOpts;
   CoreOpts.ElectionTimeoutMinUs = 4000;
   CoreOpts.ElectionTimeoutMaxUs = 8000;
-  CoreOpts.EnableReadIndex = true;
-  CoreOpts.EnableLease = true;
   CoreOpts.LeaseDurationUs = 4000;
   CoreOpts.MaxDriftPpm = 0; // The lie: no derating at all.
   CoreNetModel M = H.make(3, Opts, CoreOpts);
@@ -295,11 +293,8 @@ TEST(CoreNetModelTest, SelfHealingAndLeasesComposeSafely) {
   core::CoreOptions CoreOpts;
   CoreOpts.ElectionTimeoutMinUs = 4000;
   CoreOpts.ElectionTimeoutMaxUs = 8000;
-  CoreOpts.EnableReadIndex = true;
-  CoreOpts.EnableLease = true;
   CoreOpts.LeaseDurationUs = 4000;
   CoreOpts.MaxDriftPpm = 250000;
-  CoreOpts.EnableSuspicion = true;
   CoreOpts.SuspicionSuspectScore = 2;
   CoreOpts.SuspicionRecoverScore = 1;
   CoreNetModel M = H.make(2, Opts, CoreOpts);

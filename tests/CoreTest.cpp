@@ -657,7 +657,6 @@ Effects beat(RaftCore &C) {
 
 TEST(SuspicionTest, MissedRoundsSuspectOnceAndAckRecovers) {
   CoreHarness H;
-  H.Opts.EnableSuspicion = true;
   H.Opts.SuspicionSuspectScore = 3;
   H.Opts.SuspicionRecoverScore = 1;
   RaftCore C = H.make(1);
@@ -697,7 +696,6 @@ TEST(SuspicionTest, MissedRoundsSuspectOnceAndAckRecovers) {
 
 TEST(SuspicionTest, NakStillProvesLiveness) {
   CoreHarness H;
-  H.Opts.EnableSuspicion = true;
   H.Opts.SuspicionSuspectScore = 2;
   RaftCore C = H.make(1);
   electLeader(C);
@@ -721,7 +719,6 @@ TEST(SuspicionTest, NakStillProvesLiveness) {
 
 TEST(SuspicionTest, StateClearsOnLeadershipExit) {
   CoreHarness H;
-  H.Opts.EnableSuspicion = true;
   H.Opts.SuspicionSuspectScore = 1;
   RaftCore C = H.make(1);
   electLeader(C);
@@ -737,17 +734,6 @@ TEST(SuspicionTest, StateClearsOnLeadershipExit) {
   M.Term = C.term() + 1;
   C.onMessage(M, 0);
   EXPECT_FALSE(C.isLeader());
-  EXPECT_TRUE(C.suspected().empty());
-}
-
-TEST(SuspicionTest, DisabledByDefaultEmitsNothing) {
-  CoreHarness H;
-  RaftCore C = H.make(1);
-  electLeader(C);
-  for (int Round = 0; Round != 20; ++Round) {
-    Effects Effs = beat(C);
-    EXPECT_EQ(count(Effs, Effect::Kind::ReplicaSuspected), 0u);
-  }
   EXPECT_TRUE(C.suspected().empty());
 }
 

@@ -31,36 +31,31 @@ TEST(ReadPathTest, TierLadderIsMonotone) {
   R.LeaseDurationUs = 5000;
   R.MaxDriftPpm = 100;
 
+  // Below the lease tiers a tier is pure client policy: the core's
+  // options stay at their defaults, which grant no lease.
   CoreOptions Off;
   R.Tier = read::ReadTier::Off;
   read::applyTier(R, Off);
-  EXPECT_FALSE(Off.EnableReadIndex);
-  EXPECT_FALSE(Off.EnableLease);
-  EXPECT_FALSE(Off.EnableFollowerReads);
   EXPECT_EQ(Off.LeaseDurationUs, 0u);
+  EXPECT_EQ(Off.MaxDriftPpm, 0u);
 
   CoreOptions Ri;
   R.Tier = read::ReadTier::ReadIndex;
   read::applyTier(R, Ri);
-  EXPECT_TRUE(Ri.EnableReadIndex);
-  EXPECT_FALSE(Ri.EnableLease);
-  EXPECT_FALSE(Ri.EnableFollowerReads);
+  EXPECT_EQ(Ri.LeaseDurationUs, 0u);
+  EXPECT_EQ(Ri.MaxDriftPpm, 0u);
 
   CoreOptions Le;
   R.Tier = read::ReadTier::Lease;
   read::applyTier(R, Le);
-  EXPECT_TRUE(Le.EnableReadIndex);
-  EXPECT_TRUE(Le.EnableLease);
-  EXPECT_FALSE(Le.EnableFollowerReads);
   EXPECT_EQ(Le.LeaseDurationUs, 5000u);
   EXPECT_EQ(Le.MaxDriftPpm, 100u);
 
   CoreOptions Fo;
   R.Tier = read::ReadTier::FollowerLease;
   read::applyTier(R, Fo);
-  EXPECT_TRUE(Fo.EnableReadIndex);
-  EXPECT_TRUE(Fo.EnableLease);
-  EXPECT_TRUE(Fo.EnableFollowerReads);
+  EXPECT_EQ(Fo.LeaseDurationUs, 5000u);
+  EXPECT_EQ(Fo.MaxDriftPpm, 100u);
 }
 
 TEST(ReadPathTest, TierNamesAreStableJsonKeys) {
@@ -219,6 +214,27 @@ Effects ackRound(RaftCore &C, NodeId From, uint64_t Round, uint64_t Now) {
   return C.onMessage(Ack, Now);
 }
 
+/// Fires the leader's heartbeat timer at \p Now.
+Effects beat(RaftCore &C, uint64_t Now) {
+  return C.onTimer(TimerId::Heartbeat, C.heartbeatGen(), Now);
+}
+
+/// Number of ReadIndexQuery sends in \p Effs.
+size_t readQueries(const Effects &Effs) {
+  size_t N = 0;
+  for (const Effect &E : Effs)
+    N += E.K == Effect::Kind::Send && E.M.K == Msg::Kind::ReadIndexQuery;
+  return N;
+}
+
+/// The first send of a \p K message in \p Effs, or null.
+const Effect *findSend(const Effects &Effs, Msg::Kind K) {
+  for (const Effect &E : Effs)
+    if (E.K == Effect::Kind::Send && E.M.K == K)
+      return &E;
+  return nullptr;
+}
+
 /// The round number carried by the first probe in \p Effs.
 uint64_t probeRoundOf(const Effects &Effs) {
   for (const Effect &E : Effs)
@@ -231,22 +247,54 @@ uint64_t probeRoundOf(const Effects &Effs) {
 
 } // namespace
 
-TEST(CoreReadTest, AllTiersOffFailsEveryRead) {
+TEST(CoreReadTest, LeaselessLeaderConfirmsForwardedReadsByRound) {
   ReadHarness H;
+  ASSERT_EQ(H.Opts.LeaseDurationUs, 0u); // The default: no lease.
   RaftCore C = H.make(1);
   C.start();
   electLeader(C);
-  Effects Out;
-  EXPECT_FALSE(C.readQuery(7, /*Now=*/0, Out));
-  const Effect *Fail = find(Out, Effect::Kind::ReadFailed);
-  ASSERT_NE(Fail, nullptr);
-  EXPECT_EQ(Fail->ReadId, 7u);
-  EXPECT_EQ(count(Out, Effect::Kind::Send), 0u);
+  ackLog(C);
+  ASSERT_EQ(C.commitIndex(), 1u);
+
+  // With no lease to keep warm, heartbeats carry no probes.
+  for (uint64_t Now = 100; Now != 600; Now += 100)
+    EXPECT_EQ(readQueries(beat(C, Now)), 0u) << "at " << Now;
+
+  // Follower 2 forwards a read. No lease can vouch for it, so the
+  // leader captures its commit index and opens a confirmation round
+  // instead of answering.
+  Msg Fwd;
+  Fwd.K = Msg::Kind::ReadIndexQuery;
+  Fwd.From = 2;
+  Fwd.To = 1;
+  Fwd.Term = C.term();
+  Fwd.Done = false;
+  Fwd.ReadRound = 55;
+  Effects Arrive = C.onMessage(Fwd, 700);
+  EXPECT_EQ(findSend(Arrive, Msg::Kind::ReadIndexReply), nullptr);
+  uint64_t Round = probeRoundOf(Arrive);
+
+  // The commit index moves on while the round is in flight.
+  Effects Sub;
+  ASSERT_TRUE(C.submit(/*Method=*/42, /*ClientSeq=*/1, Sub));
+  ackLog(C, 750);
+  ASSERT_EQ(C.commitIndex(), 2u);
+
+  // One ack completes the round: the reply goes out now, and carries
+  // the index captured on arrival, not the current one.
+  Effects Done = ackRound(C, 3, Round, 800);
+  const Effect *Reply = findSend(Done, Msg::Kind::ReadIndexReply);
+  ASSERT_NE(Reply, nullptr);
+  EXPECT_EQ(Reply->M.To, 2u);
+  EXPECT_FALSE(Reply->M.Done);
+  EXPECT_TRUE(Reply->M.Success);
+  EXPECT_EQ(Reply->M.ReadRound, 55u);
+  EXPECT_EQ(Reply->M.LeaderCommit, 1u);
+  EXPECT_EQ(C.leaseUntilUs(), 0u);
 }
 
 TEST(CoreReadTest, ReadIndexRoundConfirmsThenServes) {
   ReadHarness H;
-  H.Opts.EnableReadIndex = true;
   RaftCore C = H.make(1);
   C.start();
   electLeader(C);
@@ -281,7 +329,6 @@ TEST(CoreReadTest, ReadIndexRoundConfirmsThenServes) {
 
 TEST(CoreReadTest, StaleRoundAcksAreIgnored) {
   ReadHarness H;
-  H.Opts.EnableReadIndex = true;
   RaftCore C = H.make(1);
   C.start();
   electLeader(C);
@@ -301,7 +348,6 @@ TEST(CoreReadTest, StaleRoundAcksAreIgnored) {
 
 TEST(CoreReadTest, ReadsArrivingMidRoundBatchIntoTheNextOne) {
   ReadHarness H;
-  H.Opts.EnableReadIndex = true;
   RaftCore C = H.make(1);
   C.start();
   electLeader(C);
@@ -333,8 +379,6 @@ TEST(CoreReadTest, ReadsArrivingMidRoundBatchIntoTheNextOne) {
 
 TEST(CoreReadTest, LeaseHolderServesWithoutMessages) {
   ReadHarness H;
-  H.Opts.EnableReadIndex = true;
-  H.Opts.EnableLease = true;
   H.Opts.LeaseDurationUs = 10000;
   H.Opts.MaxDriftPpm = 0;
   RaftCore C = H.make(1);
@@ -369,8 +413,6 @@ TEST(CoreReadTest, LeaseHolderServesWithoutMessages) {
 
 TEST(CoreReadTest, LeaseIsDeratedByDeclaredDrift) {
   ReadHarness H;
-  H.Opts.EnableReadIndex = true;
-  H.Opts.EnableLease = true;
   H.Opts.LeaseDurationUs = 10000;
   H.Opts.MaxDriftPpm = 100000; // 10% per clock: derate by 20%.
   RaftCore C = H.make(1);
@@ -395,12 +437,13 @@ TEST(CoreReadTest, LeaseIsDeratedByDeclaredDrift) {
   C2.readQuery(1, 0, Out2);
   ackRound(C2, 2, probeRoundOf(Out2), 10);
   EXPECT_EQ(C2.leaseUntilUs(), 0u);
+  // Nor do heartbeats try to keep one warm: they send no probes.
+  for (uint64_t Now = 100; Now != 600; Now += 100)
+    EXPECT_EQ(readQueries(beat(C2, Now)), 0u) << "at " << Now;
 }
 
 TEST(CoreReadTest, ReconfigAppendKillsTheLeaseAndPendingReads) {
   ReadHarness H;
-  H.Opts.EnableReadIndex = true;
-  H.Opts.EnableLease = true;
   H.Opts.LeaseDurationUs = 10000;
   RaftCore C = H.make(1);
   C.start();
@@ -443,8 +486,6 @@ TEST(CoreReadTest, MutationHookServesPastExpiry) {
   // leader keeps serving lease reads after the lease lapsed — the bug
   // the linearizability checker must catch downstream.
   ReadHarness H;
-  H.Opts.EnableReadIndex = true;
-  H.Opts.EnableLease = true;
   H.Opts.LeaseDurationUs = 10000;
   H.Opts.TestIgnoreLeaseExpiry = true;
   RaftCore C = H.make(1);
@@ -464,9 +505,6 @@ TEST(CoreReadTest, MutationHookServesPastExpiry) {
 
 TEST(CoreReadTest, FollowerForwardsAndServesAtTheLeadersIndex) {
   ReadHarness H;
-  H.Opts.EnableReadIndex = true;
-  H.Opts.EnableLease = true;
-  H.Opts.EnableFollowerReads = true;
   H.Opts.LeaseDurationUs = 10000;
   RaftCore F = H.make(2);
   F.start();
@@ -508,8 +546,6 @@ TEST(CoreReadTest, FollowerForwardsAndServesAtTheLeadersIndex) {
 
 TEST(CoreReadTest, ForwardedReadWaitsForTheApplyFrontier) {
   ReadHarness H;
-  H.Opts.EnableReadIndex = true;
-  H.Opts.EnableFollowerReads = true;
   RaftCore F = H.make(2);
   F.start();
 
@@ -565,8 +601,6 @@ TEST(CoreReadTest, ForwardedReadWaitsForTheApplyFrontier) {
 
 TEST(CoreReadTest, NonLeaderNacksForwardedReads) {
   ReadHarness H;
-  H.Opts.EnableReadIndex = true;
-  H.Opts.EnableFollowerReads = true;
   RaftCore F = H.make(2);
   F.start();
 
@@ -613,7 +647,6 @@ TEST(CoreReadTest, NonLeaderNacksForwardedReads) {
 
 TEST(CoreReadTest, CrashedCoreFailsReadsSynchronously) {
   ReadHarness H;
-  H.Opts.EnableReadIndex = true;
   RaftCore C = H.make(1);
   C.start();
   electLeader(C);
@@ -626,7 +659,6 @@ TEST(CoreReadTest, CrashedCoreFailsReadsSynchronously) {
 
 TEST(CoreReadTest, LosingLeadershipFailsParkedReads) {
   ReadHarness H;
-  H.Opts.EnableReadIndex = true;
   RaftCore C = H.make(1);
   C.start();
   electLeader(C);
