@@ -219,14 +219,6 @@ Effects beat(RaftCore &C, uint64_t Now) {
   return C.onTimer(TimerId::Heartbeat, C.heartbeatGen(), Now);
 }
 
-/// Number of ReadIndexQuery sends in \p Effs.
-size_t readQueries(const Effects &Effs) {
-  size_t N = 0;
-  for (const Effect &E : Effs)
-    N += E.K == Effect::Kind::Send && E.M.K == Msg::Kind::ReadIndexQuery;
-  return N;
-}
-
 /// The first send of a \p K message in \p Effs, or null.
 const Effect *findSend(const Effects &Effs, Msg::Kind K) {
   for (const Effect &E : Effs)
@@ -258,7 +250,8 @@ TEST(CoreReadTest, LeaselessLeaderConfirmsForwardedReadsByRound) {
 
   // With no lease to keep warm, heartbeats carry no probes.
   for (uint64_t Now = 100; Now != 600; Now += 100)
-    EXPECT_EQ(readQueries(beat(C, Now)), 0u) << "at " << Now;
+    EXPECT_EQ(findSend(beat(C, Now), Msg::Kind::ReadIndexQuery), nullptr)
+        << "at " << Now;
 
   // Follower 2 forwards a read. No lease can vouch for it, so the
   // leader captures its commit index and opens a confirmation round
@@ -439,7 +432,8 @@ TEST(CoreReadTest, LeaseIsDeratedByDeclaredDrift) {
   EXPECT_EQ(C2.leaseUntilUs(), 0u);
   // Nor do heartbeats try to keep one warm: they send no probes.
   for (uint64_t Now = 100; Now != 600; Now += 100)
-    EXPECT_EQ(readQueries(beat(C2, Now)), 0u) << "at " << Now;
+    EXPECT_EQ(findSend(beat(C2, Now), Msg::Kind::ReadIndexQuery), nullptr)
+        << "at " << Now;
 }
 
 TEST(CoreReadTest, ReconfigAppendKillsTheLeaseAndPendingReads) {
