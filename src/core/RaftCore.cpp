@@ -291,24 +291,6 @@ Effects RaftCore::restart() {
   return Out;
 }
 
-Effects RaftCore::step(const Input &In, uint64_t NowUs) {
-  if (const auto *M = std::get_if<MsgIn>(&In))
-    return onMessage(M->M, NowUs);
-  if (const auto *T = std::get_if<TimerFired>(&In))
-    return onTimer(T->Timer, T->Gen, NowUs);
-  if (const auto *C = std::get_if<ClientRequest>(&In)) {
-    Effects Out;
-    submit(C->Method, C->ClientSeq, Out);
-    return Out;
-  }
-  if (const auto *A = std::get_if<AdminReconfig>(&In)) {
-    Effects Out;
-    requestReconfig(A->NewConf, Out);
-    return Out;
-  }
-  return {}; // Tick: nothing is time-polled.
-}
-
 //===----------------------------------------------------------------------===//
 // Configuration helpers
 //===----------------------------------------------------------------------===//

@@ -9,7 +9,7 @@
 /// an ordered effect list out, and nothing else. The core knows no
 /// clocks, queues, sockets, or threads — time arrives as a parameter,
 /// timers are requests it *emits* (SetTimer) and acknowledgements it
-/// *receives* (TimerFired, validated by a generation counter), and all
+/// *receives* (onTimer, validated by a generation counter), and all
 /// randomness comes from an internally owned Rng seeded at construction,
 /// so a core is a value: copy it and both copies evolve identically under
 /// identical inputs.
@@ -53,7 +53,6 @@
 #include <optional>
 #include <string>
 #include <utility>
-#include <variant>
 #include <vector>
 
 namespace adore {
@@ -163,9 +162,9 @@ const char *timerName(TimerId T);
 struct Effect {
   enum class Kind : uint8_t {
     Send,           ///< Transmit M (host applies latency/loss/serialization).
-    SetTimer,       ///< (Re-)arm Timer: fire TimerFired{Timer, TimerGen}
+    SetTimer,       ///< (Re-)arm Timer: call onTimer(Timer, TimerGen)
                     ///< after DelayUs. Replaces any earlier arming.
-    CancelTimer,    ///< Disarm Timer (advisory: a stale TimerFired is
+    CancelTimer,    ///< Disarm Timer (advisory: a stale onTimer call is
                     ///< rejected by generation anyway).
     Apply,          ///< Entry at Index is committed; apply to the app.
     CommitAdvanced, ///< Commit index reached Index (precedes the Apply
@@ -322,42 +321,6 @@ struct CoreOptions {
 };
 
 //===----------------------------------------------------------------------===//
-// Typed inputs
-//===----------------------------------------------------------------------===//
-
-/// A message arrived from the network.
-struct MsgIn {
-  Msg M;
-};
-
-/// A previously requested timer fired. Gen must echo the SetTimer effect
-/// that armed it; stale generations are ignored.
-struct TimerFired {
-  TimerId Timer = TimerId::Election;
-  uint64_t Gen = 0;
-};
-
-/// A client command. Ignored (no effects) unless this replica leads.
-struct ClientRequest {
-  MethodId Method = 0;
-  uint64_t ClientSeq = 0;
-};
-
-/// An administrative membership change. Ignored unless this replica
-/// leads and the R1+/R2/R3 guards pass.
-struct AdminReconfig {
-  Config NewConf;
-};
-
-/// A pure time observation. The core's timers are edge-triggered
-/// (SetTimer/TimerFired), so Tick produces no effects today; hosts with
-/// coarse clocks may deliver it to keep the input stream uniform.
-struct Tick {};
-
-using Input = std::variant<MsgIn, TimerFired, ClientRequest, AdminReconfig,
-                           Tick>;
-
-//===----------------------------------------------------------------------===//
 // RaftCore
 //===----------------------------------------------------------------------===//
 
@@ -373,12 +336,6 @@ public:
 
   /// Arms the first election timeout; call once at start of day.
   Effects start();
-
-  /// Uniform entry point: feeds one typed input. Inputs whose
-  /// acceptance matters (ClientRequest, AdminReconfig) report rejection
-  /// by returning no effects; hosts that need the boolean use the
-  /// direct methods below.
-  Effects step(const Input &In, uint64_t NowUs);
 
   /// A message arrived. \p NowUs is the host's current time (used only
   /// for leader-contact bookkeeping and vote stickiness).

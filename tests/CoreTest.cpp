@@ -398,17 +398,6 @@ TEST(RaftCoreTest, CoresAreCopyableValues) {
   EXPECT_EQ(A.describe(), B.describe());
 }
 
-TEST(RaftCoreTest, StepVariantRoutesLikeDirectCalls) {
-  CoreHarness H;
-  RaftCore C = H.make(1);
-  C.start();
-  electLeader(C);
-  Effects ViaStep = C.step(ClientRequest{11, 3}, 0);
-  EXPECT_EQ(C.entry(C.logSize()).Method, 11u);
-  EXPECT_FALSE(ViaStep.empty());
-  EXPECT_TRUE(C.step(Tick{}, 0).empty());
-}
-
 //===----------------------------------------------------------------------===//
 // Reconfiguration guards
 //===----------------------------------------------------------------------===//
