@@ -5,16 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The read-path configuration surface: one enum naming the three
-/// escalating linearizable-read tiers, plus the translation from a tier
-/// choice into the core::CoreOptions lease parameters. The core always
-/// serves ReadIndex reads and forwards follower reads; a tier is client
-/// policy (where a host sends a read, and whether it reads through the
-/// log at all) plus the lease length the lease tiers need.
+/// The read-path configuration surface: one enum naming the
+/// linearizable-read tiers, plus the translation from a tier choice
+/// into the core::CoreOptions lease parameters. The core always serves
+/// ReadIndex reads and forwards follower reads, and every host reads
+/// through it (sim::Cluster::read, rt::RtCluster::readAndWait and the
+/// KV stores above them); a tier is client policy (where a host sends a
+/// read) plus the lease length the lease tiers need.
 ///
 /// Tier ladder (each includes everything below it):
 ///
-///   Off           reads go through the log like writes (baseline).
+///   Off           no read protocol: bench_throughput's baseline rung,
+///                 which appends each read to the log like a write.
 ///   ReadIndex     leader reads: capture the commit index, confirm
 ///                 leadership with one heartbeat-quorum round, serve
 ///                 from the applied state machine. No log append.
@@ -26,8 +28,8 @@
 ///   FollowerLease followers serve reads at a leader-supplied safe
 ///                 index, which the leader answers at once under its
 ///                 lease and otherwise after one confirmation round; a
-///                 wrong-leader NACK falls back to a retry at the
-///                 leader (read/ReadTracker.h).
+///                 follower that cannot serve a read NACKs it, and the
+///                 host retries it at the leader.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,14 +46,14 @@ namespace read {
 /// The escalating read tiers. Ordered: a higher tier subsumes the
 /// machinery of every lower one.
 enum class ReadTier : uint8_t {
-  Off = 0,       ///< Reads replicate through the log (baseline).
+  Off = 0,       ///< Reads append to the log (bench baseline only).
   ReadIndex = 1, ///< Leader reads behind one confirmation round.
   Lease = 2,     ///< Lease-holding leader skips confirmation.
   FollowerLease = 3, ///< Lease-protected follower reads.
 };
 
 /// A tier plus the timing parameters the lease tiers need. The
-/// defaults read through the log and grant no lease.
+/// defaults pick the Off tier and grant no lease.
 struct ReadOptions {
   ReadTier Tier = ReadTier::Off;
   /// Requested lease length; the core clamps it to the minimum

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Unit tests for the read subsystem: the pure read/ layer (tier ladder,
-/// client-side retry tracker) and the core protocol underneath it —
+/// Unit tests for the read subsystem: the pure read/ layer (tier ladder)
+/// and the core protocol underneath it —
 /// ReadIndex confirmation rounds, leader leases with drift derating,
 /// reconfig-append invalidation, and lease-protected follower reads —
 /// all driven by hand-built inputs, no event queue.
@@ -15,7 +15,6 @@
 
 #include "core/RaftCore.h"
 #include "read/ReadPath.h"
-#include "read/ReadTracker.h"
 
 #include <gtest/gtest.h>
 
@@ -66,78 +65,6 @@ TEST(ReadPathTest, TierNamesAreStableJsonKeys) {
   EXPECT_STREQ(read::tierName(read::ReadTier::Lease), "lease");
   EXPECT_STREQ(read::tierName(read::ReadTier::FollowerLease),
                "follower_lease");
-}
-
-//===----------------------------------------------------------------------===//
-// read/ReadTracker.h: client-side targeting and NACK fallback
-//===----------------------------------------------------------------------===//
-
-TEST(ReadTrackerTest, LeaderTiersAlwaysTargetTheLeader) {
-  read::ReadTracker T(read::ReadTier::Lease);
-  std::vector<NodeId> Members{1, 2, 3};
-  for (int I = 0; I != 4; ++I) {
-    uint64_t Id = 0;
-    read::ReadTarget Tgt = T.begin(Id, /*Leader=*/2, Members);
-    EXPECT_EQ(Tgt.Node, 2u);
-    EXPECT_TRUE(Tgt.AtLeader);
-    T.onServed(Id, Tgt.AtLeader);
-  }
-  EXPECT_EQ(T.stats().Issued, 4u);
-  EXPECT_EQ(T.stats().ServedAtLeader, 4u);
-  EXPECT_EQ(T.stats().ServedAtFollower, 0u);
-  EXPECT_EQ(T.inFlight(), 0u);
-}
-
-TEST(ReadTrackerTest, FollowerTierRoundRobinsOverNonLeaders) {
-  read::ReadTracker T(read::ReadTier::FollowerLease);
-  std::vector<NodeId> Members{1, 2, 3};
-  std::vector<NodeId> Picked;
-  for (int I = 0; I != 4; ++I) {
-    uint64_t Id = 0;
-    read::ReadTarget Tgt = T.begin(Id, /*Leader=*/1, Members);
-    EXPECT_FALSE(Tgt.AtLeader);
-    EXPECT_NE(Tgt.Node, 1u);
-    Picked.push_back(Tgt.Node);
-    T.onServed(Id, Tgt.AtLeader);
-  }
-  // Both followers get traffic, alternating.
-  EXPECT_EQ(Picked[0], Picked[2]);
-  EXPECT_EQ(Picked[1], Picked[3]);
-  EXPECT_NE(Picked[0], Picked[1]);
-  EXPECT_EQ(T.stats().ServedAtFollower, 4u);
-}
-
-TEST(ReadTrackerTest, NackFallsBackToLeaderExactlyOnce) {
-  read::ReadTracker T(read::ReadTier::FollowerLease);
-  std::vector<NodeId> Members{1, 2, 3};
-  uint64_t Id = 0;
-  read::ReadTarget Tgt = T.begin(Id, /*Leader=*/1, Members);
-  EXPECT_FALSE(Tgt.AtLeader);
-
-  read::ReadTarget Retry;
-  ASSERT_TRUE(T.onNack(Id, /*Leader=*/1, Retry));
-  EXPECT_EQ(Retry.Node, 1u);
-  EXPECT_TRUE(Retry.AtLeader);
-  EXPECT_EQ(T.stats().RetriedAtLeader, 1u);
-
-  // A second NACK of the same read (the leader churned) fails it
-  // instead of looping.
-  EXPECT_FALSE(T.onNack(Id, /*Leader=*/1, Retry));
-  EXPECT_EQ(T.stats().Failed, 1u);
-  EXPECT_EQ(T.inFlight(), 0u);
-}
-
-TEST(ReadTrackerTest, StaleOutcomesAreIgnored) {
-  read::ReadTracker T(read::ReadTier::ReadIndex);
-  std::vector<NodeId> Members{1, 2, 3};
-  uint64_t Id = 0;
-  T.begin(Id, 1, Members);
-  T.onServed(Id, true);
-  // The same outcome delivered twice (late duplicate) changes nothing.
-  T.onServed(Id, true);
-  T.onFailed(Id);
-  EXPECT_EQ(T.stats().ServedAtLeader, 1u);
-  EXPECT_EQ(T.stats().Failed, 0u);
 }
 
 //===----------------------------------------------------------------------===//

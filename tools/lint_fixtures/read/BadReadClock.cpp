@@ -1,6 +1,6 @@
 // Fixture: read policy consulting the wall clock. Lease arithmetic
 // and retry decisions must be functions of caller-supplied time — a
-// tracker that reads steady_clock itself could never be replayed by
+// read layer that reads steady_clock itself could never be replayed by
 // the chaos rig or exhausted by the model checker, and a self-timed
 // lease check is exactly the stale-read bug the protocol exists to
 // prevent.

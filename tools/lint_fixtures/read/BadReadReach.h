@@ -1,5 +1,5 @@
-// Fixture: read policy reaching into a runtime. The tracker decides
-// where a read goes and what a NACK means; hosts (sim, rt, chaos)
+// Fixture: read policy reaching into a runtime. The read layer names
+// the tiers and what each asks of the core; hosts (sim, rt, chaos)
 // move the bytes. A read file that includes rt has welded the policy
 // to one runtime and made it untestable with scripted replies.
 #include "rt/RtNode.h" // LINT-EXPECT: layering
