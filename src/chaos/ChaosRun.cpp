@@ -209,20 +209,16 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
     CO.Node.EnableSnapshotCatchup = true;
     CO.Node.SnapshotLagEntries = 8;
   }
-  // Clock-drift is the read-path scenario: every read tier is on, the
-  // nemesis wanders per-node clock skews, and gets go through the
-  // protocol read path (no log barrier). The parameters keep lease
+  // Clock-drift is the lease scenario: the nodes grant leases and the
+  // nemesis wanders per-node clock skews. The parameters keep lease
   // safety provable against the nemesis bound: effective lease =
   // 100ms * (1 - 2*10%) = 80ms, and 80ms + 2*MaxSkewUs(20ms each way)
   // stays under the 150ms minimum election timeout.
-  bool ReadPath = Opts.Nemesis.Kind == Scenario::ClockDrift;
-  Result.ReadPath = ReadPath;
-  if (ReadPath) {
+  if (Opts.Nemesis.Kind == Scenario::ClockDrift)
     read::applyTier({.Tier = read::ReadTier::FollowerLease,
                      .LeaseDurationUs = 100000,
                      .MaxDriftPpm = 100000},
                     CO.Node);
-  }
 
   // Construction: the groups under test are the one cluster, or the
   // metadata group (index 0) plus the data groups of a pool, all on one
@@ -267,7 +263,6 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
     PoolKv = std::make_unique<kv::ShardedKvStore>(*Pool);
     PoolKv->setOpTimeout(WL.OpTimeoutUs);
     PoolKv->setObserver(&H);
-    PoolKv->setFollowerReads(ReadPath);
     for (GroupId G = 1; G != Groups.size(); ++G)
       Groups[G].Kv = &PoolKv->groupStore(G);
   } else {
@@ -276,31 +271,24 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
     Groups[0].Kv = SingleKv.get();
   }
 
-  // Issues one workload op. With the read tiers on, gets go through the
-  // protocol read path, alternating leader- and follower-side reads (a
-  // pool cannot choose per op: every fast read starts at a follower, and
-  // one the group cannot prove safe is re-sent pinned to the leader).
-  // The observer still records each as a Get, so the Wing & Gong check
-  // covers the read path end to end.
+  // Issues one workload op. Gets go through the core's read path: a
+  // single group alternates leader- and follower-side reads, and a pool
+  // starts every read at a follower (one the group cannot prove safe is
+  // re-sent pinned to the leader). The observer records each as a Get,
+  // so the Wing & Gong check covers the read path end to end.
   auto Ignore = [](bool, SimTime) {};
-  auto CountRead = [&Result, ReadPath](bool Ok, std::optional<uint32_t>,
-                                       SimTime) {
-    if (ReadPath)
-      ++(Ok ? Result.ReadsOk : Result.ReadsFailed);
+  auto CountRead = [&Result](bool Ok, std::optional<uint32_t>, SimTime) {
+    ++(Ok ? Result.ReadsOk : Result.ReadsFailed);
   };
   auto Issue = [&](uint32_t Key, unsigned Draw, uint32_t Val) {
     if (Draw < WL.GetPermille) {
       bool AtFollower = PoolKv || (Draw % 2) == 0;
-      if (ReadPath) {
-        ++Result.ReadsIssued;
-        Result.ReadsAtFollower += AtFollower;
-      }
+      ++Result.ReadsIssued;
+      Result.ReadsAtFollower += AtFollower;
       if (PoolKv)
         PoolKv->get(Key, CountRead);
-      else if (ReadPath)
-        SingleKv->getFast(Key, CountRead, AtFollower, WL.OpTimeoutUs);
       else
-        SingleKv->get(Key, CountRead, WL.OpTimeoutUs);
+        SingleKv->get(Key, CountRead, AtFollower, WL.OpTimeoutUs);
     } else if (Draw < WL.GetPermille + WL.DelPermille) {
       if (PoolKv)
         PoolKv->del(Key, Ignore);
@@ -677,14 +665,12 @@ void ChaosRunResult::addToJson(JsonWriter &W) const {
     W.key("heal_reconfig_retries").value(HealReconfigRetries);
     W.endObject();
   }
-  if (ReadPath) {
-    W.key("read_path").beginObject();
-    W.key("reads_issued").value(uint64_t(ReadsIssued));
-    W.key("reads_ok").value(uint64_t(ReadsOk));
-    W.key("reads_failed").value(uint64_t(ReadsFailed));
-    W.key("reads_at_follower").value(uint64_t(ReadsAtFollower));
-    W.endObject();
-  }
+  W.key("read_path").beginObject();
+  W.key("reads_issued").value(uint64_t(ReadsIssued));
+  W.key("reads_ok").value(uint64_t(ReadsOk));
+  W.key("reads_failed").value(uint64_t(ReadsFailed));
+  W.key("reads_at_follower").value(uint64_t(ReadsAtFollower));
+  W.endObject();
   W.key("committed_entries").value(uint64_t(CommittedEntries));
   if (!GroupStats.empty()) {
     W.key("pool_map").beginObject();
@@ -750,10 +736,9 @@ std::string ChaosRunResult::summary() const {
          " detect_us=" + std::to_string(TimeToDetectUs) +
          " refill_us=" + std::to_string(TimeToFullReplicationUs) +
          " snap_bytes=" + std::to_string(SnapshotBytesTransferred);
-  if (ReadPath)
-    S += " reads=" + std::to_string(ReadsOk) + "/" +
-         std::to_string(ReadsIssued) +
-         " follower_reads=" + std::to_string(ReadsAtFollower);
+  S += " reads=" + std::to_string(ReadsOk) + "/" +
+       std::to_string(ReadsIssued) +
+       " follower_reads=" + std::to_string(ReadsAtFollower);
   if (DurableStore)
     S += " recoveries=" + std::to_string(Store.Recoveries) +
          " torn_tails=" + std::to_string(Store.TornTailsDetected);

@@ -147,10 +147,8 @@ struct ChaosRunResult {
   uint64_t HealReconfigsCommitted = 0;
   uint64_t HealReconfigRetries = 0;
 
-  // Read-path statistics (Scenario::ClockDrift runs only; the JSON keys
-  // are emitted only when ReadPath is set, which keeps every legacy
-  // report byte-identical).
-  bool ReadPath = false;
+  // Read-path statistics: every workload get goes through the core's
+  // read protocol.
   size_t ReadsIssued = 0;
   size_t ReadsOk = 0;
   size_t ReadsFailed = 0;

@@ -14,8 +14,8 @@
 ///   Ok            — the operation definitely took effect (writes) or
 ///                   definitely observed the returned value (reads);
 ///   Fail          — the operation definitely had no effect (only reads
-///                   can fail definitively: a timed-out barrier read
-///                   observed nothing and mutated nothing);
+///                   can fail definitively: a read that exhausted its
+///                   retries observed nothing and mutated nothing);
 ///   Indeterminate — a write whose client gave up waiting. The command
 ///                   may still sit in some leader's log and commit
 ///                   arbitrarily later, so the checker must allow it to
@@ -54,7 +54,8 @@ struct ClientOp {
   uint32_t Key = 0;
   /// Written value (Put); unused for Del/Get.
   uint32_t Value = 0;
-  /// Observed value for an Ok Get (nullopt = key absent at the barrier).
+  /// Observed value for an Ok Get (nullopt = key absent at the read's
+  /// safe index).
   std::optional<uint32_t> ReadValue;
   sim::SimTime InvokedAt = 0;
   /// Meaningful for Ok/Fail outcomes; for Indeterminate it records when
@@ -99,7 +100,7 @@ public:
 
   /// Closes the history once the run ends: operations still pending are
   /// writes that never answered (Indeterminate) or reads that never
-  /// resolved (Fail — an unresolved barrier read observed nothing).
+  /// resolved (Fail — an unresolved read observed nothing).
   void finalize(sim::SimTime At);
 
   /// Test/mutation hook: appends a forged operation. Used to verify that

@@ -412,7 +412,7 @@ void Nemesis::scriptSplitBrain() {
     // Phase 2 (+1.2s): cut the outbound direction too. Followers now
     // time out and elect; the stale leader still believes it leads its
     // old term — the classic two-leaders-in-different-terms state the
-    // commit barrier must tolerate.
+    // commit rule and the read protocol must tolerate.
     C->queue().scheduleAt(StartAt + 1200000, [this, Leader] {
       for (NodeId N : C->universe())
         if (N != Leader)

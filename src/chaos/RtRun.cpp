@@ -117,9 +117,7 @@ ChaosRunResult adore::chaos::runRtScenario(const RtRunOptions &Opts,
   // lease renewal off real deadline timers, follower forwarding, and
   // the retry-at-leader fallback, all with every read staleness-checked
   // against the ledger snapshot taken at issue.
-  bool ReadPath = Opts.Kind == Scenario::ClockDrift;
-  Result.ReadPath = ReadPath;
-  if (ReadPath) {
+  if (Opts.Kind == Scenario::ClockDrift) {
     // fastNodeOptions: ETmin 50ms, heartbeat 15ms. Effective lease =
     // 30ms * (1 - 2*10%) = 24ms — longer than a heartbeat gap, so the
     // lease stays continuously renewed, and well under ETmin.

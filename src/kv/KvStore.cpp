@@ -85,25 +85,6 @@ void ReplicatedKvStore::onApply(NodeId Node, size_t Index,
       State.applyMethod(E.Method);
   }
   AppliedCount[Node] = Index;
-  // Resolve barrier reads riding on this entry (encoded as a Noop put
-  // whose ClientSeq maps into Reads via the Value field of the op).
-  if (E.Kind != raft::EntryKind::Method)
-    return;
-  KvOp Op = decodeKvOp(E.Method);
-  if (Op.Kind != KvOpKind::Noop || Op.Value == 0)
-    return;
-  auto It = Reads.find(Op.Value);
-  if (It == Reads.end())
-    return;
-  PendingRead Read = std::move(It->second);
-  Reads.erase(It);
-  // The applying replica has every entry up to the barrier: its state
-  // is the linearization point.
-  auto Value = State.get(Read.Key);
-  SimTime Latency = Cluster.queue().now() - Read.StartedAt;
-  if (Observer)
-    Observer->onReturn(Read.OpId, true, Value, Cluster.queue().now());
-  Read.Done(true, Value, Latency);
 }
 
 void ReplicatedKvStore::put(
@@ -147,37 +128,6 @@ void ReplicatedKvStore::del(uint32_t Key,
 }
 
 void ReplicatedKvStore::get(
-    uint32_t Key,
-    std::function<void(bool, std::optional<uint32_t>, SimTime)> Done,
-    SimTime MaxTriesUs) {
-  uint64_t Seq = NextReadSeq++;
-  uint64_t OpId = NextOpId++;
-  if (Observer)
-    Observer->onInvoke(OpId, KvClientObserver::OpType::Get, Key, 0,
-                       Cluster.queue().now());
-  Reads[Seq] =
-      PendingRead{Key, std::move(Done), Cluster.queue().now(), OpId};
-  // A no-op barrier whose Value field carries the read ticket.
-  KvOp Barrier{KvOpKind::Noop, 0, static_cast<uint32_t>(Seq)};
-  Cluster.submit(
-      encodeKvOp(Barrier),
-      [this, Seq](bool Ok, SimTime) {
-        if (Ok)
-          return; // onApply resolves the read.
-        auto It = Reads.find(Seq);
-        if (It == Reads.end())
-          return;
-        PendingRead Read = std::move(It->second);
-        Reads.erase(It);
-        if (Observer)
-          Observer->onReturn(Read.OpId, false, std::nullopt,
-                             Cluster.queue().now());
-        Read.Done(false, std::nullopt, 0);
-      },
-      MaxTriesUs);
-}
-
-void ReplicatedKvStore::getFast(
     uint32_t Key,
     std::function<void(bool, std::optional<uint32_t>, SimTime)> Done,
     bool AtFollower, SimTime MaxTriesUs) {

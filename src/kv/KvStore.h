@@ -38,7 +38,7 @@ namespace kv {
 
 /// KV operation kinds packed into MethodId.
 enum class KvOpKind : uint8_t {
-  Noop = 0, ///< Barrier/no-op (also the leader's term-start entry).
+  Noop = 0, ///< No-op (also the leader's term-start entry).
   Put = 1,
   Del = 2,
 };
@@ -103,8 +103,8 @@ public:
 
 /// The SMR-facade store of Fig. 2: opaque calls over a simulated Raft
 /// cluster. Maintains one KvState per replica (fed by the cluster's
-/// apply hook) and serves linearizable reads through a commit barrier.
-/// Client commands carry a unique sequence number and replicas apply each
+/// apply hook) and serves linearizable reads through the core's read
+/// protocol, with no log append. Client commands carry a unique sequence number and replicas apply each
 /// at most once, so a command that is retried across leader failovers
 /// (and therefore may appear in the committed log twice) takes effect
 /// exactly once — without this, at-least-once retries would make even
@@ -124,26 +124,17 @@ public:
            std::function<void(bool Ok, sim::SimTime LatencyUs)> Done,
            sim::SimTime MaxTriesUs = 5000000);
 
-  /// Linearizable get: a no-op barrier is committed, then the value is
-  /// read from the replica state at the barrier point.
+  /// Linearizable get through the core's read path: no log append. The
+  /// cluster confirms a safe index (a ReadIndex round, the lease fast
+  /// path when the nodes grant leases, or a follower read with
+  /// \p AtFollower) and the value is served from the confirming node's
+  /// replica, whose applied state covers that index by the time the
+  /// read resolves. Ok=false means the read exhausted \p MaxTriesUs.
   void get(uint32_t Key,
            std::function<void(bool Ok, std::optional<uint32_t> Value,
                               sim::SimTime LatencyUs)>
                Done,
-           sim::SimTime MaxTriesUs = 5000000);
-
-  /// Linearizable get through the protocol read path (requires a read
-  /// tier in the cluster's node options): no log append — the cluster
-  /// confirms a safe index (ReadIndex round, lease fast path, or
-  /// lease-protected follower read with \p AtFollower) and the value
-  /// is served from the confirming node's replica, whose applied state
-  /// covers that index by the time the read resolves. Ok=false means
-  /// the read path exhausted its retries.
-  void getFast(uint32_t Key,
-               std::function<void(bool Ok, std::optional<uint32_t> Value,
-                                  sim::SimTime LatencyUs)>
-                   Done,
-               bool AtFollower = false, sim::SimTime MaxTriesUs = 5000000);
+           bool AtFollower = false, sim::SimTime MaxTriesUs = 5000000);
 
   /// Installs the history observer (nullptr to detach). Not owned.
   void setObserver(KvClientObserver *O) { Observer = O; }
@@ -165,15 +156,6 @@ private:
   /// occurrences of a retried command are skipped (exactly-once apply).
   /// Deterministic across replicas because all apply the same log.
   std::map<NodeId, std::set<uint64_t>> AppliedSeqs;
-  /// Pending barrier reads keyed by an internal sequence.
-  struct PendingRead {
-    uint32_t Key;
-    std::function<void(bool, std::optional<uint32_t>, sim::SimTime)> Done;
-    sim::SimTime StartedAt;
-    uint64_t OpId;
-  };
-  std::map<uint64_t, PendingRead> Reads;
-  uint64_t NextReadSeq = 1;
   uint64_t NextOpId = 1;
   KvClientObserver *Observer = nullptr;
 };

@@ -38,39 +38,23 @@ ShardedKvStore::ShardedKvStore(sim::ShardedCluster &Pool) : Pool(Pool) {
     ReplicatedKvStore &Store = groupStore(Req.Group);
     KvOp Op = decodeKvOp(Req.Payload);
     if (Req.IsRead) {
-      // Un-pinned reads may take the lease-protected fast path at a
-      // follower; one the group cannot prove safe within the budget
-      // comes back as a ReadNack, and the routing client re-sends it
-      // with ReadAtLeader set — which lands in the barrier path below.
-      if (this->FollowerReads && !Req.ReadAtLeader) {
-        Store.getFast(
-            Op.Key,
-            [Done = std::move(Done)](bool Ok, std::optional<uint32_t> V,
-                                     SimTime) {
-              shard::GroupReply R;
-              if (Ok) {
-                R.Ok = true;
-                R.HasValue = V.has_value();
-                R.Value = V.value_or(0);
-              } else {
-                R.ReadNack = true;
-              }
-              Done(R);
-            },
-            /*AtFollower=*/true, OpTimeoutUs);
-        return;
-      }
+      // An un-pinned read starts at a follower. One the group cannot
+      // prove safe within the budget comes back as a ReadNack, and the
+      // routing client re-sends it with ReadAtLeader set; a pinned read
+      // that fails is a plain failure.
+      bool Pinned = Req.ReadAtLeader;
       Store.get(
           Op.Key,
-          [Done = std::move(Done)](bool Ok, std::optional<uint32_t> V,
-                                   SimTime) {
+          [Pinned, Done = std::move(Done)](bool Ok, std::optional<uint32_t> V,
+                                           SimTime) {
             shard::GroupReply R;
             R.Ok = Ok;
+            R.ReadNack = !Ok && !Pinned;
             R.HasValue = V.has_value();
             R.Value = V.value_or(0);
             Done(R);
           },
-          OpTimeoutUs);
+          /*AtFollower=*/!Pinned, OpTimeoutUs);
       return;
     }
     auto Reply = [Done = std::move(Done)](bool Ok, SimTime) {

@@ -13,9 +13,12 @@
 /// refetches) and adds the history observer hookup the chaos harness
 /// records cross-shard runs through.
 ///
-/// Each data group keeps its own ReplicatedKvStore, so commit barriers,
+/// Each data group keeps its own ReplicatedKvStore, so reads,
 /// exactly-once client sequences, and replica convergence all stay
-/// group-local; only routing is global.
+/// group-local; only routing is global. A get starts as a follower read
+/// in its owning group; one the group cannot serve comes back as a
+/// GroupReply::ReadNack, and the routing client re-sends it pinned to
+/// the leader.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,15 +62,6 @@ public:
   /// Per-routed-attempt budget handed to the owning group's store.
   void setOpTimeout(sim::SimTime TimeoutUs) { OpTimeoutUs = TimeoutUs; }
 
-  /// Serve un-pinned reads through the lease-protected fast path
-  /// (ReplicatedKvStore::getFast, at a follower) instead of the leader
-  /// commit barrier. Fast only when the pool's groups hold leases (a
-  /// lease read tier); a fast read the group cannot prove safe comes
-  /// back as a GroupReply::ReadNack, which the routing client answers by
-  /// re-sending the read pinned to the leader. Default off: every legacy
-  /// sharded run keeps the barrier-read path byte-identical.
-  void setFollowerReads(bool On) { FollowerReads = On; }
-
   void put(uint32_t Key, uint32_t Value,
            std::function<void(bool Ok, sim::SimTime LatencyUs)> Done);
   void del(uint32_t Key,
@@ -103,7 +97,6 @@ private:
   std::vector<std::unique_ptr<ReplicatedKvStore>> GroupStores;
   std::unique_ptr<shard::ShardedKvClient> Client;
   sim::SimTime OpTimeoutUs = 1500000;
-  bool FollowerReads = false;
   uint64_t NextOpId = 1;
   ShardedKvObserver *Observer = nullptr;
 };

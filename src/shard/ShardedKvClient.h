@@ -61,8 +61,9 @@ struct RouteRequest {
   GroupId Group = InvalidGroupId;
   uint64_t MapGen = 0;
   /// Set by the client's retry-at-leader fallback after a ReadNack: the
-  /// server must serve this read at the leader (commit barrier or lease
-  /// fast path), never at a follower. Meaningless unless IsRead.
+  /// server must serve this read at the leader (a ReadIndex round or
+  /// the lease fast path), never at a follower. Meaningless unless
+  /// IsRead.
   bool ReadAtLeader = false;
 };
 

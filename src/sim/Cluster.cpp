@@ -323,10 +323,11 @@ void Cluster::attemptRead(uint64_t Seq) {
     ReadAttemptToSeq[Rid] = Seq;
     N.read(Rid);
     // A crashed target silently swallows pending reads (a dead node
-    // sends nothing); arm a client-side timeout so the op retries.
+    // sends nothing); arm a client-side timeout so the op retries. An
+    // attempt that already resolved has scheduled its own retry.
     Q->scheduleAfter(Opts.ClientTimeoutUs, [this, Seq, Rid] {
-      ReadAttemptToSeq.erase(Rid);
-      attemptRead(Seq);
+      if (ReadAttemptToSeq.erase(Rid))
+        attemptRead(Seq);
     });
   });
 }

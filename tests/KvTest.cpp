@@ -105,18 +105,24 @@ struct KvHarness {
 } // namespace
 
 TEST(ReplicatedKvTest, PutThenGet) {
-  KvHarness H(3);
-  bool PutDone = false;
-  H.Store->put(1, 42, [&](bool Ok, SimTime) { PutDone = Ok; });
-  ASSERT_TRUE(H.runUntil(10000000, [&] { return PutDone; }));
-  std::optional<uint32_t> Got;
-  bool GetDone = false;
-  H.Store->get(1, [&](bool Ok, std::optional<uint32_t> V, SimTime) {
-    GetDone = Ok;
-    Got = V;
-  });
-  ASSERT_TRUE(H.runUntil(10000000, [&] { return GetDone; }));
-  EXPECT_EQ(Got, std::optional<uint32_t>(42));
+  for (bool AtFollower : {false, true}) {
+    SCOPED_TRACE(AtFollower ? "follower read" : "leader read");
+    KvHarness H(3);
+    bool PutDone = false;
+    H.Store->put(1, 42, [&](bool Ok, SimTime) { PutDone = Ok; });
+    ASSERT_TRUE(H.runUntil(10000000, [&] { return PutDone; }));
+    std::optional<uint32_t> Got;
+    bool GetDone = false;
+    H.Store->get(
+        1,
+        [&](bool Ok, std::optional<uint32_t> V, SimTime) {
+          GetDone = Ok;
+          Got = V;
+        },
+        AtFollower);
+    ASSERT_TRUE(H.runUntil(10000000, [&] { return GetDone; }));
+    EXPECT_EQ(Got, std::optional<uint32_t>(42));
+  }
 }
 
 TEST(ReplicatedKvTest, GetMissingKey) {

@@ -511,3 +511,37 @@ TEST(AmplificationTest, ClosedLoopSendsAtMostFourMessagesPerPeerPerOp) {
   // Seeded and virtual-time: the count repeats exactly.
   EXPECT_EQ(closedLoopMessagesPerOp(2000), PerOp);
 }
+
+TEST(ClusterReadTest, ReadRetriesStayOneChainWithoutALeader) {
+  // With no leader every read attempt is NACKed, and each NACK schedules
+  // one retry. The attempt's client timeout must not add a second retry
+  // chain for an attempt that already resolved: chains would fork on
+  // every NACK and the attempt count would grow with the budget's
+  // square. One chain makes at most one attempt per retry delay.
+  ClusterOptions Opts;
+  Opts.Node.ElectionTimeoutMinUs = 100000000;
+  Opts.Node.ElectionTimeoutMaxUs = 200000000;
+  TestCluster TC(3, 0, /*Seed=*/42, Opts);
+  size_t Outcomes = 0;
+  for (NodeId N : TC->universe()) {
+    auto &Hook = TC->node(N).hooks().OnRead;
+    Hook = [&Outcomes, Inner = Hook](NodeId Id, uint64_t ReadId, bool Ok,
+                                     size_t Index) {
+      ++Outcomes;
+      Inner(Id, ReadId, Ok, Index);
+    };
+  }
+  const SimTime MaxTriesUs = 1000000;
+  bool Done = false, Served = true;
+  TC->read(
+      [&](bool Ok, NodeId, size_t, SimTime) {
+        Done = true;
+        Served = Ok;
+      },
+      /*AtFollower=*/false, MaxTriesUs);
+  ASSERT_TRUE(runUntil(*TC, 2 * MaxTriesUs, [&] { return Done; }));
+  EXPECT_FALSE(Served);
+  EXPECT_FALSE(TC->leader().has_value());
+  EXPECT_GT(Outcomes, 0u);
+  EXPECT_LE(Outcomes, MaxTriesUs / Opts.ClientRetryDelayUs + 1);
+}
