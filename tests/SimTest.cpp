@@ -516,8 +516,8 @@ TEST(ClusterReadTest, ReadRetriesStayOneChainWithoutALeader) {
   // With no leader every read attempt is NACKed, and each NACK schedules
   // one retry. The attempt's client timeout must not add a second retry
   // chain for an attempt that already resolved: chains would fork on
-  // every NACK and the attempt count would grow with the budget's
-  // square. One chain makes at most one attempt per retry delay.
+  // every NACK and the attempt count would grow far faster than the
+  // budget. One chain makes at most one attempt per retry delay.
   ClusterOptions Opts;
   Opts.Node.ElectionTimeoutMinUs = 100000000;
   Opts.Node.ElectionTimeoutMaxUs = 200000000;
