@@ -104,11 +104,12 @@ public:
 /// The SMR-facade store of Fig. 2: opaque calls over a simulated Raft
 /// cluster. Maintains one KvState per replica (fed by the cluster's
 /// apply hook) and serves linearizable reads through the core's read
-/// protocol, with no log append. Client commands carry a unique sequence number and replicas apply each
-/// at most once, so a command that is retried across leader failovers
-/// (and therefore may appear in the committed log twice) takes effect
-/// exactly once — without this, at-least-once retries would make even
-/// fault-free histories non-linearizable.
+/// protocol, with no log append. Client commands carry a unique sequence
+/// number and replicas apply each at most once, so a command that is
+/// retried across leader failovers (and therefore may appear in the
+/// committed log twice) takes effect exactly once — without this,
+/// at-least-once retries would make even fault-free histories
+/// non-linearizable.
 class ReplicatedKvStore {
 public:
   explicit ReplicatedKvStore(sim::Cluster &Cluster);
