@@ -666,11 +666,15 @@ void RaftCore::onAppendReply(const Msg &M, Effects &Out) {
   // anchor, so drop the window and rewind the cursor to re-send from the
   // backup. The hint and the acked match point both prove a matching
   // prefix, so Next never drops below either; a stale or duplicated NAK
-  // leaves it where it is.
+  // leaves it where it is. A peer with no NextIndex entry (a non-member)
+  // has no stream to rewind, and inserting one would start it at 0.
+  auto Tracked = NextIndex.find(M.From);
+  if (Tracked == NextIndex.end())
+    return;
   auto Acked = MatchIndex.find(M.From);
   size_t Floor = std::max(M.MatchIndex,
                           Acked == MatchIndex.end() ? 0 : Acked->second);
-  size_t &Next = NextIndex[M.From];
+  size_t &Next = Tracked->second;
   Next = std::min(Next, Floor + 1);
   PeerPipe &PP = Pipe[M.From];
   PP.InFlight = 0;

@@ -2030,3 +2030,78 @@ TEST(StaleCommitTest, DuplicatedNakNeverRewindsBelowTheMatchPoint) {
       EXPECT_EQ(M->PrevIndex, 2u) << "copy " << Copy << " rewound Next";
   }
 }
+
+//===----------------------------------------------------------------------===//
+// Forwarded reads: the answer's frame reaches tracked peers only
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Answers leader \p L's confirmation probe in \p Probes from \p From.
+Effects ackProbe(RaftCore &L, const Effects &Probes, NodeId From) {
+  for (const Effect &E : Probes)
+    if (E.K == Effect::Kind::Send && E.M.K == Msg::Kind::ReadIndexQuery &&
+        E.M.Done && E.M.To == From) {
+      Msg Ack;
+      Ack.K = Msg::Kind::ReadIndexReply;
+      Ack.From = From;
+      Ack.To = L.id();
+      Ack.Term = L.term();
+      Ack.Done = true;
+      Ack.Success = true;
+      Ack.ReadRound = E.M.ReadRound;
+      return L.onMessage(Ack, /*NowUs=*/0);
+    }
+  ADD_FAILURE() << "no probe to S" << From;
+  return {};
+}
+
+} // namespace
+
+TEST(ForwardedReadTest, NonMemberReadResolvesWithoutAFrameOrACrash) {
+  CoreHarness H;
+  RaftCore C = H.make(1);
+  C.start();
+  Effects Won = electLeader(C);
+  C.onMessage(appendAck(C, 2, 1), /*NowUs=*/0);
+  ASSERT_EQ(C.commitIndex(), 1u);
+
+  // S4 is outside {1, 2, 3} but holds the committed noop and knows the
+  // leader, as a node just removed from the configuration would.
+  RaftCore F = H.make(4);
+  F.start();
+  std::vector<const Msg *> ToS2 = appendsTo(Won, 2);
+  ASSERT_EQ(ToS2.size(), 1u);
+  Msg Caught = *ToS2[0];
+  Caught.To = 4;
+  Caught.LeaderCommit = 1;
+  F.onMessage(Caught, /*NowUs=*/0);
+  ASSERT_EQ(F.commitIndex(), 1u);
+
+  Effects Ask;
+  ASSERT_TRUE(F.readQuery(7, /*NowUs=*/0, Ask));
+  const Effect *Fwd = find(Ask, Effect::Kind::Send);
+  ASSERT_NE(Fwd, nullptr);
+  Effects Arrive = C.onMessage(Fwd->M, /*NowUs=*/0);
+  Effects Done = ackProbe(C, Arrive, 2);
+  EXPECT_TRUE(appendsTo(Done, 4).empty()) << "S4 has no replication stream";
+  const Effect *Reply = nullptr;
+  for (const Effect &E : Done)
+    if (E.K == Effect::Kind::Send && E.M.K == Msg::Kind::ReadIndexReply &&
+        E.M.To == 4)
+      Reply = &E;
+  ASSERT_NE(Reply, nullptr);
+  EXPECT_TRUE(Reply->M.Success);
+
+  Effects Served = F.onMessage(Reply->M, /*NowUs=*/0);
+  const Effect *Ready = find(Served, Effect::Kind::ReadReady);
+  ASSERT_NE(Ready, nullptr);
+  EXPECT_EQ(Ready->ReadId, 7u);
+  EXPECT_EQ(Ready->Index, 1u);
+
+  // A consistency NAK from the untracked peer is ignored: there is no
+  // stream to rewind, and starting one at index 0 would be invalid.
+  Effects Nak = C.onMessage(appendNack(C, 4, 0), /*NowUs=*/0);
+  EXPECT_EQ(count(Nak, Effect::Kind::Send), 0u);
+  EXPECT_TRUE(C.isLeader());
+}
