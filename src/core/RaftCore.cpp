@@ -967,6 +967,7 @@ void RaftCore::completeReadRound(uint64_t NowUs, Effects &Out) {
       ++It;
     }
   }
+  NodeSet Answered;
   for (auto It = RemoteReads.begin(); It != RemoteReads.end();) {
     if (It->NeedRound <= ReadRound) {
       Msg Reply;
@@ -979,11 +980,14 @@ void RaftCore::completeReadRound(uint64_t NowUs, Effects &Out) {
       Reply.Success = true;
       Reply.LeaderCommit = It->Index;
       Out.push_back(Effect::send(std::move(Reply)));
+      Answered.insert(It->From);
       It = RemoteReads.erase(It);
     } else {
       ++It;
     }
   }
+  for (NodeId Peer : Answered)
+    sendCommitTo(Peer, Out);
   if (!ReadWaiters.empty() || !RemoteReads.empty())
     startReadRound(NowUs, Out);
 }
@@ -1104,6 +1108,7 @@ void RaftCore::onReadIndexQuery(const Msg &M, uint64_t NowUs, Effects &Out) {
     Reply.Success = true;
     Reply.LeaderCommit = CommitIndex;
     Out.push_back(Effect::send(std::move(Reply)));
+    sendCommitTo(M.From, Out);
     return;
   }
   RemoteRead RR;
@@ -1223,6 +1228,11 @@ void RaftCore::replicateTo(NodeId Peer, Effects &Out) {
     sendAppendFrame(Peer, PP.SentNext, Out);
 }
 
+void RaftCore::sendCommitTo(NodeId Peer, Effects &Out) {
+  if (NextIndex.count(Peer))
+    replicateTo(Peer, Out);
+}
+
 void RaftCore::streamUnsent(NodeId Peer, Effects &Out) {
   auto It = Pipe.find(Peer);
   size_t Cursor = std::max(It == Pipe.end() ? 0 : It->second.SentNext,
@@ -1296,9 +1306,10 @@ void RaftCore::advanceCommit(Effects &Out) {
         Replicated.insert(Peer);
     if (!Scheme->isQuorum(Replicated, configOfPrefix(N)))
       continue;
+    // Nothing is sent: followers learn the new commit index from the
+    // next entry-bearing frame, the heartbeat round, or, for a
+    // forwarded read, the frame its answer triggers.
     applyUpTo(N, Out);
-    // Propagate the new commit index promptly.
-    broadcastAppends(Out);
     return;
   }
 }

@@ -264,8 +264,12 @@ struct CoreOptions {
   /// a heartbeat (the retransmission path for lost frames) and a
   /// consistency NAK rewind it to the acked point.
   ///
+  /// A commit advance sends nothing: followers learn the commit index
+  /// from the next entry-bearing frame, the heartbeat round, or, for a
+  /// forwarded read, the one frame its answer sends the reader.
+  ///
   /// PipelineWindow = 1 sends one frame per broadcast (a submit, a
-  /// commit advance) from the acked point, so a broadcast also
+  /// heartbeat round) from the acked point, so a broadcast also
   /// retransmits the unacked suffix. PipelineWindow > 1 streams frames
   /// from the cursor, each entry once, up to that many unacked
   /// entry-bearing frames per follower, and sends an empty keep-alive
@@ -622,6 +626,11 @@ private:
   /// Ack-clocked streaming: replicateTo only if \p Peer has log entries
   /// it was never sent. An ack never re-sends what is still in flight.
   void streamUnsent(NodeId Peer, Effects &Out);
+  /// A commit advance sends nothing, so a follower whose forwarded read
+  /// was just answered gets one frame carrying LeaderCommit rather than
+  /// wait for the next write or heartbeat. Untracked peers (no
+  /// NextIndex entry, i.e. non-members) get none.
+  void sendCommitTo(NodeId Peer, Effects &Out);
   /// \p ResetPipe rewinds every peer's send cursor to its acked point
   /// first — the heartbeat round passes true, making it the
   /// retransmission path for frames lost in flight.

@@ -1580,7 +1580,8 @@ namespace {
 /// commits at the leader (back to back), and messages are delivered one
 /// at a time in send order, so every link is in order. No timer fires,
 /// so there are no heartbeats and no loss. Records every AppendEntries
-/// the leader emits, by the input that emitted it.
+/// the leader emits, by the input that emitted it, and checks that each
+/// submit's frame carries the leader's current commit index.
 struct ClosedLoop {
   CoreHarness H;
   std::vector<RaftCore> Cores;
@@ -1632,12 +1633,8 @@ struct ClosedLoop {
       return;
     bool Advanced = count(Effs, Effect::Kind::CommitAdvanced) != 0;
     Advances += Advanced;
-    for (const auto &[Peer, N] : Frames) {
+    for (const auto &[Peer, N] : Frames)
       (Advanced ? AdvanceFrames : OtherAckFrames)[Peer] += N;
-      if (Advanced) {
-        EXPECT_EQ(N, 1u) << "one frame per peer per commit advance";
-      }
-    }
   }
 
   void drain() {
@@ -1652,6 +1649,12 @@ struct ClosedLoop {
         Effects Effs;
         ASSERT_TRUE(leader().submit(10 + Submits, Submits + 1, Effs));
         ++Submits;
+        for (const Effect &E : Effs)
+          if (E.K == Effect::Kind::Send &&
+              E.M.K == Msg::Kind::AppendEntries) {
+            EXPECT_EQ(E.M.LeaderCommit, leader().commitIndex())
+                << "a submit's frame carries the commit index";
+          }
         for (const auto &[Peer, N] : post(Effs)) {
           EXPECT_EQ(N, 1u) << "one frame per peer per submit";
           SubmitFrames[Peer] += N;
@@ -1672,13 +1675,15 @@ TEST(SendOnceTest, AcksNeverResendAtUnitWindow) {
   L.run(40);
   for (NodeId Peer : {2, 3}) {
     EXPECT_EQ(L.SubmitFrames[Peer], 40u);
-    // Each op's commit advance sends every peer one frame; acks that
-    // advance nothing send nothing, including acks of keep-alives.
-    EXPECT_EQ(L.AdvanceFrames[Peer], L.Advances);
+    // A commit advance sends nothing, and acks that advance nothing
+    // send nothing either.
+    EXPECT_EQ(L.AdvanceFrames[Peer], 0u);
     EXPECT_EQ(L.OtherAckFrames[Peer], 0u);
+    // The next submit's frame would carry the last op's commit.
+    EXPECT_EQ(L.Cores[Peer - 1].commitIndex(), L.leader().commitIndex() - 1);
   }
   EXPECT_EQ(L.Advances, 41u); // The noop's and each op's.
-  EXPECT_GT(L.KeepAlives, 0u);
+  EXPECT_EQ(L.KeepAlives, 0u);
 }
 
 TEST(SendOnceTest, EachEntryShippedOncePerPeerWhenPipelined) {
@@ -1686,18 +1691,16 @@ TEST(SendOnceTest, EachEntryShippedOncePerPeerWhenPipelined) {
   L.run(40);
   for (NodeId Peer : {2, 3}) {
     EXPECT_EQ(L.SubmitFrames[Peer], 40u);
-    EXPECT_LE(L.AdvanceFrames[Peer], L.Advances);
+    EXPECT_EQ(L.AdvanceFrames[Peer], 0u);
     EXPECT_EQ(L.OtherAckFrames[Peer], 0u);
     // The noop and the 40 ops, each sent to each follower exactly once.
     ASSERT_EQ(L.Shipped[Peer].size(), 41u);
     for (const auto &[Index, Times] : L.Shipped[Peer])
       EXPECT_EQ(Times, 1u) << "index " << Index << " to S" << Peer;
+    EXPECT_EQ(L.Cores[Peer - 1].commitIndex(), L.leader().commitIndex() - 1);
   }
   EXPECT_EQ(L.Advances, 41u); // The noop's and each op's.
-  // A commit advance sends a keep-alive only to followers with nothing
-  // in flight, which includes the one whose ack advanced it.
-  EXPECT_GE(L.AdvanceFrames[2] + L.AdvanceFrames[3], L.Advances);
-  EXPECT_GT(L.KeepAlives, 0u);
+  EXPECT_EQ(L.KeepAlives, 0u);
 }
 
 TEST(PipelineTest, UnitWindowReproducesLegacySchedule) {
@@ -2037,6 +2040,18 @@ TEST(StaleCommitTest, DuplicatedNakNeverRewindsBelowTheMatchPoint) {
 
 namespace {
 
+/// A follower's forwarded read of \p From at leader \p L.
+Msg forwardedRead(const RaftCore &L, NodeId From, uint64_t Cookie) {
+  Msg M;
+  M.K = Msg::Kind::ReadIndexQuery;
+  M.From = From;
+  M.To = L.id();
+  M.Term = L.term();
+  M.Done = false;
+  M.ReadRound = Cookie;
+  return M;
+}
+
 /// Answers leader \p L's confirmation probe in \p Probes from \p From.
 Effects ackProbe(RaftCore &L, const Effects &Probes, NodeId From) {
   for (const Effect &E : Probes)
@@ -2057,6 +2072,25 @@ Effects ackProbe(RaftCore &L, const Effects &Probes, NodeId From) {
 }
 
 } // namespace
+
+TEST(ForwardedReadTest, AnsweredMemberGetsOneFrameWithTheCommitIndex) {
+  CoreHarness H;
+  RaftCore C = H.make(1);
+  C.start();
+  electLeader(C);
+  C.onMessage(appendAck(C, 2, 1), /*NowUs=*/0);
+  ASSERT_EQ(C.commitIndex(), 1u);
+
+  // A commit advance sends nothing, so follower 2 has not heard of
+  // index 1 yet. Answering its read also sends it the commit index.
+  Effects Arrive = C.onMessage(forwardedRead(C, 2, 55), /*NowUs=*/0);
+  EXPECT_TRUE(appendsTo(Arrive, 2).empty());
+  Effects Done = ackProbe(C, Arrive, 3);
+  std::vector<const Msg *> Frames = appendsTo(Done, 2);
+  ASSERT_EQ(Frames.size(), 1u);
+  EXPECT_EQ(Frames[0]->LeaderCommit, 1u);
+  EXPECT_TRUE(appendsTo(Done, 3).empty()) << "only the reader is sent to";
+}
 
 TEST(ForwardedReadTest, NonMemberReadResolvesWithoutAFrameOrACrash) {
   CoreHarness H;

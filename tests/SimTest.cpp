@@ -499,17 +499,67 @@ double closedLoopMessagesPerOp(size_t Ops) {
 
 } // namespace
 
-TEST(AmplificationTest, ClosedLoopSendsAtMostFourMessagesPerPeerPerOp) {
-  // Per op the leader ships the entry to each of the N-1 peers and
-  // propagates the commit to each, and each frame is acked: 4(N-1)
-  // messages. The +1 covers heartbeats and the rare NAK of a frame the
-  // simulator delivered before its predecessor. Acks that re-sent
-  // entries still in flight took this to 10.7.
-  const double Bound = 4 * (3 - 1) + 1;
+TEST(AmplificationTest, ClosedLoopSendsAtMostTwoMessagesPerPeerPerOp) {
+  // Per op the leader ships the entry to each of the N-1 peers and each
+  // frame is acked: 2(N-1) messages. A commit advance sends nothing; the
+  // next op's frame carries it. The +1 covers heartbeats and the rare
+  // NAK of a frame the simulator delivered before its predecessor. A
+  // frame per peer per commit advance took this to 8.27, and acks that
+  // re-sent entries still in flight to 10.7.
+  const double Bound = 2 * (3 - 1) + 1;
   double PerOp = closedLoopMessagesPerOp(2000);
   EXPECT_LE(PerOp, Bound);
   // Seeded and virtual-time: the count repeats exactly.
   EXPECT_EQ(closedLoopMessagesPerOp(2000), PerOp);
+}
+
+TEST(ClusterReadTest, FollowerReadOnAnIdleClusterNeedsNoHeartbeat) {
+  // A commit advance sends nothing, so on an idle cluster followers
+  // learn the commit index only at the next heartbeat, here seconds
+  // away. A follower read must not wait for it: the leader's answer to
+  // the forwarded read comes with a frame carrying the commit index.
+  // Both answer sites are covered: a confirmation round, then the
+  // lease the round granted.
+  ClusterOptions Opts;
+  Opts.Node.HeartbeatUs = 5000000;
+  Opts.Node.ElectionTimeoutMinUs = 15000000;
+  Opts.Node.ElectionTimeoutMaxUs = 30000000;
+  Opts.Node.LeaseDurationUs = 15000000;
+  TestCluster TC(3, 0, /*Seed=*/42, Opts);
+  std::optional<NodeId> Leader = TC->runUntilLeader(100000000);
+  ASSERT_TRUE(Leader.has_value());
+  const SimTime Bound = 10 * Opts.Link.LatencyMaxUs;
+  for (int Round = 0; Round != 2; ++Round) {
+    bool Written = false;
+    TC->submit(7, [&](bool Ok, SimTime) { Written = Ok; });
+    ASSERT_TRUE(runUntil(*TC, Bound, [&] { return Written; }));
+    size_t Committed = TC->node(*Leader).commitIndex();
+    for (NodeId N : TC->universe())
+      if (N != *Leader) {
+        EXPECT_LT(TC->node(N).commitIndex(), Committed)
+            << "S" << N << " heard of the commit before the read";
+      }
+    bool Done = false, Ok = false;
+    NodeId Server = InvalidNodeId;
+    size_t Index = 0;
+    SimTime Latency = 0;
+    TC->read(
+        [&](bool R, NodeId S, size_t I, SimTime L) {
+          Done = true;
+          Ok = R;
+          Server = S;
+          Index = I;
+          Latency = L;
+        },
+        /*AtFollower=*/true);
+    ASSERT_TRUE(runUntil(*TC, Bound, [&] { return Done; }))
+        << "read " << Round << " waited for a heartbeat";
+    EXPECT_TRUE(Ok);
+    EXPECT_NE(Server, *Leader);
+    EXPECT_EQ(Index, Committed);
+    EXPECT_LE(Latency, Bound);
+  }
+  EXPECT_EQ(TC->leader(), Leader);
 }
 
 TEST(ClusterReadTest, ReadRetriesStayOneChainWithoutALeader) {
