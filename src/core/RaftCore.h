@@ -278,8 +278,8 @@ struct CoreOptions {
   /// The default stays 1 because the sim's links reorder, and reordered
   /// pipelined frames NAK and rewind: on perfbench's
   /// reconfig-failover-sim (seed 1, virtual time) window 8 raises
-  /// op_p50_us from 3433 to 3865 and op_p99_us from 185,096 to 203,471,
-  /// and streaming from the cursor at window 1 raises op_p50_us to 4500.
+  /// op_p50_us from 3562 to 3883 and op_p99_us from 195,100 to 196,357,
+  /// and streaming from the cursor at window 1 raises op_p50_us to 4513.
   size_t PipelineWindow = 1;
 
   /// Linearizable read path (src/read layers client policy on top of
