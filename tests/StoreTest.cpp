@@ -26,7 +26,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <thread>
 
 using namespace adore;
@@ -55,6 +58,46 @@ void putU64le(std::string &S, uint64_t V) {
 bool sameRecord(const WalRecord &A, const WalRecord &B) {
   return A.Type == B.Type && A.Term == B.Term && A.Vote == B.Vote &&
          A.Index == B.Index && A.Entry == B.Entry && A.NewLen == B.NewLen;
+}
+
+std::string hexOf(const std::string &Bytes) {
+  std::string Hex;
+  for (unsigned char C : Bytes) {
+    char Buf[3];
+    std::snprintf(Buf, sizeof(Buf), "%02x", C);
+    Hex += Buf;
+  }
+  return Hex;
+}
+
+/// Compares \p Bytes with the one-line hex golden \p File (under
+/// tests/golden). ADORE_UPDATE_GOLDEN=1 rewrites the file first; do that
+/// only after an intentional, version-bumped format change.
+void expectGolden(const std::string &Bytes, const char *File) {
+  std::string Hex = hexOf(Bytes);
+  std::string Path = std::string(ADORE_TEST_GOLDEN_DIR) + "/" + File;
+  if (std::getenv("ADORE_UPDATE_GOLDEN")) {
+    std::ofstream Out(Path);
+    Out << Hex << "\n";
+  }
+  std::ifstream In(Path);
+  ASSERT_TRUE(In.good()) << File
+                         << " missing (ADORE_UPDATE_GOLDEN=1 regenerates)";
+  std::string Golden;
+  In >> Golden;
+  EXPECT_EQ(Hex, Golden) << File << ": on-disk layout drifted";
+}
+
+/// A joint-configuration Reconfig entry: both member sets, the joint
+/// flag and the scheme parameter all reach the encoding.
+core::LogEntry jointReconfigEntry() {
+  core::LogEntry E = makeEntry(5, 0, 0);
+  E.Kind = raft::EntryKind::Reconfig;
+  E.Conf = Config(NodeSet{1, 2, 3});
+  E.Conf.Extra = NodeSet{3, 4, 5};
+  E.Conf.HasExtra = true;
+  E.Conf.Param = 2;
+  return E;
 }
 
 } // namespace
@@ -433,6 +476,41 @@ TEST(WalFormatTest, SnapshotRoundTripAndWholesaleRejection) {
     EXPECT_FALSE(decodeSnapshot(Bad, Term, Vote, Commit, Out))
         << "off=" << Off;
   }
+}
+
+TEST(WalFormatTest, GoldenSegmentBytesArePinned) {
+  // Every record type the write path emits, framed into one segment:
+  // TermVote with and without a vote, an Append of a Method entry and
+  // of a joint-config Reconfig entry, a Truncate and a Commit. The hex
+  // golden pins the whole file independently of the writer's code.
+  std::string Seg = segmentHeader(3);
+  frameRecord(Seg, payloadTermVote(4, NodeId(1)));
+  frameRecord(Seg, payloadAppend(1, makeEntry(4, 77, 9)));
+  frameRecord(Seg, payloadAppend(2, jointReconfigEntry()));
+  frameRecord(Seg, payloadTruncate(1));
+  frameRecord(Seg, payloadTermVote(5, std::nullopt));
+  frameRecord(Seg, payloadCommit(1));
+  expectGolden(Seg, "wal_segment.hex");
+
+  SegmentScan Scan = scanSegment(Seg);
+  EXPECT_FALSE(Scan.CorruptTail);
+  ASSERT_EQ(Scan.Records.size(), 6u);
+  EXPECT_EQ(Scan.Records[2].Entry, jointReconfigEntry());
+  EXPECT_EQ(Scan.Records[4].Vote, std::nullopt);
+}
+
+TEST(WalFormatTest, GoldenSnapshotBytesArePinned) {
+  std::vector<core::LogEntry> Log{makeEntry(2, 5, 1), jointReconfigEntry(),
+                                  makeEntry(5, 6, 2)};
+  std::string Bytes = encodeSnapshot(5, NodeId(2), 2, Log);
+  expectGolden(Bytes, "wal_snapshot.hex");
+
+  uint64_t Term = 0, Commit = 0;
+  std::optional<NodeId> Vote;
+  std::vector<core::LogEntry> Out;
+  ASSERT_TRUE(decodeSnapshot(Bytes, Term, Vote, Commit, Out));
+  EXPECT_EQ(Vote, std::optional<NodeId>(2));
+  EXPECT_EQ(Out, Log);
 }
 
 //===----------------------------------------------------------------------===//
