@@ -39,14 +39,20 @@ inline void putU8(std::string &Out, uint8_t V) {
   Out.push_back(static_cast<char>(V));
 }
 
+/// Fixed-width writers fill a local buffer and append it once, so a
+/// word costs one size check instead of one per byte.
 inline void putU32(std::string &Out, uint32_t V) {
+  char B[4];
   for (int I = 0; I != 4; ++I)
-    putU8(Out, static_cast<uint8_t>(V >> (8 * I)));
+    B[I] = static_cast<char>(V >> (8 * I));
+  Out.append(B, sizeof(B));
 }
 
 inline void putU64(std::string &Out, uint64_t V) {
+  char B[8];
   for (int I = 0; I != 8; ++I)
-    putU8(Out, static_cast<uint8_t>(V >> (8 * I)));
+    B[I] = static_cast<char>(V >> (8 * I));
+  Out.append(B, sizeof(B));
 }
 
 inline void putNodeSet(std::string &Out, const NodeSet &S) {
@@ -68,6 +74,12 @@ inline void putEntry(std::string &Out, const core::LogEntry &E) {
   putU64(Out, E.Method);
   putConfig(Out, E.Conf);
   putU64(Out, E.ClientSeq);
+}
+
+/// Bytes putEntry appends for \p E, for sizing a buffer up front.
+inline size_t entryBytes(const core::LogEntry &E) {
+  return 8 + 1 + 8 + (8 + 4 * E.Conf.Members.size()) +
+         (8 + 4 * E.Conf.Extra.size()) + 1 + 8 + 8;
 }
 
 /// Length-prefixed opaque byte string (InstallSnapshot chunks on the

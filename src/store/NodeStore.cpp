@@ -196,8 +196,8 @@ RecoveredState NodeStore::open() {
   // Position the write path. If the directory had no segment for the
   // current sequence (fresh store, or a crash landed between snapshot
   // rename and segment creation), lay one down now.
-  CurSeq = LastSeen != 0 ? LastSeen : StartSeq;
-  if (!V.exists(segPath(CurSeq))) {
+  setSegment(LastSeen != 0 ? LastSeen : StartSeq);
+  if (!V.exists(CurPath)) {
     if (!createSegment(CurSeq)) {
       RS.Error = "cannot create WAL segment in " + Dir;
       return RS;
@@ -265,15 +265,20 @@ std::vector<std::string> NodeStore::recoverInto(core::RaftCore &Core,
 // Write path
 //===----------------------------------------------------------------------===//
 
-bool NodeStore::appendRecord(const std::string &Payload) {
-  std::string Framed;
-  frameRecord(Framed, Payload);
-  if (!V.append(segPath(CurSeq), Framed))
+void NodeStore::setSegment(uint64_t Seq) {
+  CurSeq = Seq;
+  CurPath = segPath(Seq);
+}
+
+bool NodeStore::appendBatch(uint64_t Records) {
+  if (Records == 0)
+    return true;
+  if (!V.append(CurPath, Batch))
     return false;
-  ++UnsyncedRecords;
-  ++Stats.RecordsWritten;
-  Stats.BytesWritten += Framed.size();
-  WalBytesSinceSnapshot += Framed.size();
+  UnsyncedRecords += Records;
+  Stats.RecordsWritten += Records;
+  Stats.BytesWritten += Batch.size();
+  WalBytesSinceSnapshot += Batch.size();
   return true;
 }
 
@@ -286,22 +291,27 @@ bool NodeStore::persistState(Time Term, std::optional<NodeId> Vote,
                              size_t DirtyFrom) {
   assert(Open && "persist on a closed store");
   assert(DirtyFrom >= 1 && "log slots are 1-based");
-  bool Ok = true;
+  Batch.clear();
+  uint64_t Records = 0;
 
   // The slots below the dirty mark are the ones the store already holds.
   size_t Common = std::min({DirtyFrom - 1, MirrorLogLen, Log.size()});
-  if (MirrorLogLen > Common)
-    Ok = appendRecord(payloadTruncate(Common)) && Ok;
+  if (MirrorLogLen > Common) {
+    frameTruncate(Batch, Common);
+    ++Records;
+  }
   for (size_t I = Common; I < Log.size(); ++I)
-    Ok = appendRecord(payloadAppend(I + 1, Log[I])) && Ok;
+    frameAppend(Batch, I + 1, Log[I]);
+  Records += Log.size() - Common;
   MirrorLogLen = Log.size();
   SnapLog = &Log;
   if (Term != MirrorTerm || Vote != MirrorVote) {
-    Ok = appendRecord(payloadTermVote(Term, Vote)) && Ok;
+    frameTermVote(Batch, Term, Vote);
+    ++Records;
     MirrorTerm = Term;
     MirrorVote = Vote;
   }
-  return Ok;
+  return appendBatch(Records);
 }
 
 void NodeStore::noteCommit(size_t Index) {
@@ -309,7 +319,9 @@ void NodeStore::noteCommit(size_t Index) {
   if (Index <= MirrorCommit)
     return;
   MirrorCommit = Index;
-  appendRecord(payloadCommit(Index));
+  Batch.clear();
+  frameCommit(Batch, Index);
+  appendBatch(1);
 }
 
 bool NodeStore::sync() {
@@ -318,7 +330,7 @@ bool NodeStore::sync() {
   SnapLog = nullptr;
   if (UnsyncedRecords == 0)
     return true;
-  if (!V.sync(segPath(CurSeq)))
+  if (!V.sync(CurPath))
     return false;
   Stats.Syncs++;
   Stats.MaxBatchRecords = std::max(Stats.MaxBatchRecords, UnsyncedRecords);
@@ -330,7 +342,7 @@ bool NodeStore::sync() {
   // leaves it to the next sync that has one.
   if (Log && WalBytesSinceSnapshot >= Opts.SnapshotEveryBytes)
     return takeSnapshot(*Log);
-  if (V.fileSize(segPath(CurSeq)) >= Opts.SegmentBytes)
+  if (V.fileSize(CurPath) >= Opts.SegmentBytes)
     return rotateSegment();
   return true;
 }
@@ -347,7 +359,7 @@ bool NodeStore::rotateSegment() {
   uint64_t Next = CurSeq + 1;
   if (!createSegment(Next))
     return false;
-  CurSeq = Next;
+  setSegment(Next);
   return true;
 }
 
@@ -370,7 +382,7 @@ bool NodeStore::takeSnapshot(const std::vector<core::LogEntry> &Log) {
   if (!createSegment(Next))
     return false;
   uint64_t Prev = CurSeq;
-  CurSeq = Next;
+  setSegment(Next);
   WalBytesSinceSnapshot = 0;
   for (uint64_t Seq = Prev;; --Seq) {
     bool Removed = false;

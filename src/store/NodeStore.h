@@ -15,7 +15,11 @@
 /// dirty-from index), and persistState() appends only what changed from
 /// there (a Truncate when a conflict dropped durable slots, Appends for
 /// the new ones, a TermVote when either changed), so its cost does not
-/// depend on the log's length. Records land in the file immediately
+/// depend on the log's length. Each persist or commit call frames its
+/// records in place into one reused buffer (store/Wal.h's writers) and
+/// hands it to the Vfs in ONE append before it returns, to the segment
+/// path cached when the segment was opened: no per-record string, no
+/// per-append path formatting. Records land in the file immediately
 /// but are not durable until sync(), which issues ONE fsync for the
 /// whole batch — including any Commit records that rode along — and is
 /// where segment rotation and snapshot compaction happen. A snapshot
@@ -152,7 +156,11 @@ public:
 private:
   std::string segPath(uint64_t Seq) const;
   std::string snapPath(uint64_t Seq) const;
-  bool appendRecord(const std::string &Payload);
+  /// Positions the write path at segment \p Seq (sets CurSeq and CurPath).
+  void setSegment(uint64_t Seq);
+  /// Hands Batch, holding \p Records framed records, to the Vfs in one
+  /// append; counts them only if the Vfs took them.
+  bool appendBatch(uint64_t Records);
   bool createSegment(uint64_t Seq);
   bool takeSnapshot(const std::vector<core::LogEntry> &Log);
   bool rotateSegment();
@@ -164,6 +172,11 @@ private:
 
   bool Open = false;
   uint64_t CurSeq = 0;
+  /// segPath(CurSeq), formatted once per segment rather than per append.
+  std::string CurPath;
+  /// The records of the current persist or commit call, framed in
+  /// place; reused so a call allocates nothing once it has grown.
+  std::string Batch;
   /// Records appended since the last sync barrier (group-commit size).
   uint64_t UnsyncedRecords = 0;
   /// WAL bytes laid down since the last snapshot (compaction trigger).

@@ -9,6 +9,7 @@
 #include "core/Codec.h"
 #include "support/Crc32c.h"
 
+#include <cassert>
 #include <cstdio>
 
 using namespace adore;
@@ -56,42 +57,56 @@ std::string store::segmentHeader(uint64_t Seq) {
   return Out;
 }
 
-void store::frameRecord(std::string &Out, const std::string &Payload) {
-  codec::putU32(Out, static_cast<uint32_t>(Payload.size()));
-  codec::putU32(Out, crc32c(Payload));
-  Out += Payload;
+/// Opens a record frame at the end of \p Out: a zeroed [len][crc]
+/// header for endFrame to patch, then the record type. Returns where
+/// the frame starts.
+static size_t beginRecord(std::string &Out, RecordType Type) {
+  size_t Start = Out.size();
+  Out.append(8, '\0');
+  codec::putU8(Out, static_cast<uint8_t>(Type));
+  return Start;
 }
 
-std::string store::payloadTermVote(uint64_t Term,
-                                   const std::optional<NodeId> &Vote) {
-  std::string P;
-  codec::putU8(P, static_cast<uint8_t>(RecordType::TermVote));
-  codec::putU64(P, Term);
-  codec::putU8(P, Vote.has_value() ? 1 : 0);
-  codec::putU32(P, Vote.value_or(0));
-  return P;
+static void patchU32(std::string &Out, size_t At, uint32_t V) {
+  for (int I = 0; I != 4; ++I)
+    Out[At + I] = static_cast<char>(V >> (8 * I));
 }
 
-std::string store::payloadAppend(uint64_t Index, const core::LogEntry &E) {
-  std::string P;
-  codec::putU8(P, static_cast<uint8_t>(RecordType::Append));
-  codec::putU64(P, Index);
-  codec::putEntry(P, E);
-  return P;
+/// Closes the frame opened at \p Start: everything after its header is
+/// the payload.
+static void endFrame(std::string &Out, size_t Start) {
+  size_t Len = Out.size() - Start - 8;
+  patchU32(Out, Start, static_cast<uint32_t>(Len));
+  patchU32(Out, Start + 4, crc32c(Out.data() + Start + 8, Len));
 }
 
-std::string store::payloadTruncate(uint64_t NewLen) {
-  std::string P;
-  codec::putU8(P, static_cast<uint8_t>(RecordType::Truncate));
-  codec::putU64(P, NewLen);
-  return P;
+void store::frameTermVote(std::string &Out, uint64_t Term,
+                          const std::optional<NodeId> &Vote) {
+  size_t Start = beginRecord(Out, RecordType::TermVote);
+  codec::putU64(Out, Term);
+  codec::putU8(Out, Vote.has_value() ? 1 : 0);
+  codec::putU32(Out, Vote.value_or(0));
+  endFrame(Out, Start);
 }
 
-std::string store::payloadCommit(uint64_t Index) {
-  std::string P;
-  codec::putU8(P, static_cast<uint8_t>(RecordType::Commit));
-  codec::putU64(P, Index);
-  return P;
+void store::frameAppend(std::string &Out, uint64_t Index,
+                        const core::LogEntry &E) {
+  size_t Start = beginRecord(Out, RecordType::Append);
+  codec::putU64(Out, Index);
+  codec::putEntry(Out, E);
+  endFrame(Out, Start);
+}
+
+void store::frameTruncate(std::string &Out, uint64_t NewLen) {
+  size_t Start = beginRecord(Out, RecordType::Truncate);
+  codec::putU64(Out, NewLen);
+  endFrame(Out, Start);
+}
+
+void store::frameCommit(std::string &Out, uint64_t Index) {
+  size_t Start = beginRecord(Out, RecordType::Commit);
+  codec::putU64(Out, Index);
+  endFrame(Out, Start);
 }
 
 /// Decodes one payload into \p R; false means corrupt (even with a good
@@ -186,17 +201,23 @@ std::string store::encodeSnapshot(uint64_t Term,
                                   const std::optional<NodeId> &Vote,
                                   uint64_t CommitIndex,
                                   const std::vector<core::LogEntry> &Log) {
-  std::string Payload;
-  codec::putU64(Payload, Term);
-  codec::putU8(Payload, Vote.has_value() ? 1 : 0);
-  codec::putU32(Payload, Vote.value_or(0));
-  codec::putU64(Payload, CommitIndex);
-  codec::putU64(Payload, Log.size());
+  size_t Size = sizeof(SnapMagic) + 8 + 8 + 1 + 4 + 8 + 8;
   for (const core::LogEntry &E : Log)
-    codec::putEntry(Payload, E);
-
-  std::string Out(SnapMagic, sizeof(SnapMagic));
-  frameRecord(Out, Payload);
+    Size += codec::entryBytes(E);
+  std::string Out;
+  Out.reserve(Size);
+  Out.append(SnapMagic, sizeof(SnapMagic));
+  size_t Start = Out.size();
+  Out.append(8, '\0');
+  codec::putU64(Out, Term);
+  codec::putU8(Out, Vote.has_value() ? 1 : 0);
+  codec::putU32(Out, Vote.value_or(0));
+  codec::putU64(Out, CommitIndex);
+  codec::putU64(Out, Log.size());
+  for (const core::LogEntry &E : Log)
+    codec::putEntry(Out, E);
+  endFrame(Out, Start);
+  assert(Out.size() == Size && "codec::entryBytes disagrees with putEntry");
   return Out;
 }
 

@@ -67,14 +67,15 @@ bool parseTrailingSeq(const std::string &Path, uint64_t &Seq);
 std::string segmentHeader(uint64_t Seq);
 constexpr uint64_t SegmentHeaderBytes = 8 + 4 + 8;
 
-/// Appends one framed record ([len][crc][payload]) to \p Out.
-void frameRecord(std::string &Out, const std::string &Payload);
-
-/// Payload builders.
-std::string payloadTermVote(uint64_t Term, const std::optional<NodeId> &Vote);
-std::string payloadAppend(uint64_t Index, const core::LogEntry &E);
-std::string payloadTruncate(uint64_t NewLen);
-std::string payloadCommit(uint64_t Index);
+/// Record writers. Each appends one framed record ([len][crc][payload])
+/// to \p Out: it reserves the 8-byte frame header, encodes the payload
+/// after it, then patches in the payload's length and CRC. No payload
+/// is built anywhere else first.
+void frameTermVote(std::string &Out, uint64_t Term,
+                   const std::optional<NodeId> &Vote);
+void frameAppend(std::string &Out, uint64_t Index, const core::LogEntry &E);
+void frameTruncate(std::string &Out, uint64_t NewLen);
+void frameCommit(std::string &Out, uint64_t Index);
 
 /// One decoded record (fields valid per Type).
 struct WalRecord {
