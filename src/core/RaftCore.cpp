@@ -435,6 +435,10 @@ void RaftCore::stepDown(Time NewTerm, Effects &Out) {
     Votes.clear();
     failAllReads(Out); // Resolve waiters before the state is wiped.
     clearLeaderHealthState();
+    // A deposed leader no longer knows who leads; a hint naming itself
+    // would send every client it rejects straight back to it.
+    if (LeaderHint == Id)
+      LeaderHint.reset();
   }
   ++HeartbeatGen; // Cancel leader heartbeats.
   Out.push_back(Effect::cancelTimer(TimerId::Heartbeat));

@@ -66,10 +66,14 @@ TEST(CoreNetModelTest, TwoNodeExhaustiveNoViolations) {
   // frames: a follower now hears of a commit only from a later frame
   // (a heartbeat, here), so states where the leader has committed and
   // the follower has not stay reachable alongside more pending
-  // messages.
+  // messages. Transitions fell from 457464 when a deposed leader
+  // stopped naming itself as leader: the model delivers a RequestVote
+  // to a follower holding a hint both inside and past the stickiness
+  // window, and a deposed leader now holds none, so it gets one
+  // delivery instead of two. The reachable states did not change.
   EXPECT_TRUE(R.exhausted());
   EXPECT_EQ(R.States, 112813u);
-  EXPECT_EQ(R.Transitions, 457464u);
+  EXPECT_EQ(R.Transitions, 456918u);
 }
 
 TEST(CoreNetModelTest, ThreeNodeBoundedWithReconfigNoViolations) {

@@ -383,6 +383,27 @@ TEST(RaftCoreTest, CrashDropsVolatileStateRestartKeepsDurable) {
   EXPECT_EQ(count(RestartEffs, Effect::Kind::SetTimer), 1u);
 }
 
+TEST(RaftCoreTest, DeposedLeaderStopsNamingItselfAsLeader) {
+  // A follower's reply from a higher term deposes the leader without
+  // naming a new one. The hint must not keep pointing at this node,
+  // which now rejects submits: clients would retry it in a loop.
+  CoreHarness H;
+  RaftCore C = H.make(1);
+  C.start();
+  electLeader(C);
+  ASSERT_EQ(C.leaderHint(), std::optional<NodeId>(1));
+  Msg Reply;
+  Reply.K = Msg::Kind::AppendReply;
+  Reply.From = 2;
+  Reply.To = 1;
+  Reply.Term = C.term() + 1;
+  C.onMessage(Reply, 0);
+  ASSERT_FALSE(C.isLeader());
+  EXPECT_NE(C.leaderHint(), std::optional<NodeId>(1));
+  Effects Out;
+  EXPECT_FALSE(C.submit(9, 1, Out));
+}
+
 TEST(RaftCoreTest, CoresAreCopyableValues) {
   // Copy a core mid-protocol; both copies must evolve identically under
   // identical inputs (the Rng is owned by value).
