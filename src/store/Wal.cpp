@@ -57,12 +57,17 @@ std::string store::segmentHeader(uint64_t Seq) {
   return Out;
 }
 
-/// Opens a record frame at the end of \p Out: a zeroed [len][crc]
-/// header for endFrame to patch, then the record type. Returns where
-/// the frame starts.
-static size_t beginRecord(std::string &Out, RecordType Type) {
+/// Reserves a zeroed [len][crc] frame header at the end of \p Out for
+/// endFrame to patch; returns where the frame starts.
+static size_t beginFrame(std::string &Out) {
   size_t Start = Out.size();
   Out.append(8, '\0');
+  return Start;
+}
+
+/// Opens a WAL record: the frame header, then the record type.
+static size_t beginRecord(std::string &Out, RecordType Type) {
+  size_t Start = beginFrame(Out);
   codec::putU8(Out, static_cast<uint8_t>(Type));
   return Start;
 }
@@ -207,8 +212,7 @@ std::string store::encodeSnapshot(uint64_t Term,
   std::string Out;
   Out.reserve(Size);
   Out.append(SnapMagic, sizeof(SnapMagic));
-  size_t Start = Out.size();
-  Out.append(8, '\0');
+  size_t Start = beginFrame(Out);
   codec::putU64(Out, Term);
   codec::putU8(Out, Vote.has_value() ? 1 : 0);
   codec::putU32(Out, Vote.value_or(0));
