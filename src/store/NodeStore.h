@@ -18,12 +18,12 @@
 /// depend on the log's length. Each persist or commit call frames its
 /// records in place into one reused buffer (store/Wal.h's writers) and
 /// hands it to the Vfs in ONE append before it returns, to the segment
-/// path cached when the segment was opened: no per-record string, no
-/// per-append path formatting. Records land in the file immediately
-/// but are not durable until sync(), which issues ONE fsync for the
-/// whole batch — including any Commit records that rode along — and is
-/// where segment rotation and snapshot compaction happen. A snapshot
-/// encodes the log passed to the persist call that preceded the sync.
+/// path cached when the segment was opened. Records land in the file
+/// immediately but are not durable until sync(), which issues ONE fsync
+/// for the whole batch — including any Commit records that rode along —
+/// and is where segment rotation and snapshot compaction happen. A
+/// snapshot encodes the log passed to the persist call that preceded
+/// the sync.
 ///
 /// Hosts call persistFrom(core, dirty-from)+sync() before acting on any
 /// effect of a batch that carries a Persist effect (persist-before-act), call

@@ -69,8 +69,7 @@ constexpr uint64_t SegmentHeaderBytes = 8 + 4 + 8;
 
 /// Record writers. Each appends one framed record ([len][crc][payload])
 /// to \p Out: it reserves the 8-byte frame header, encodes the payload
-/// after it, then patches in the payload's length and CRC. No payload
-/// is built anywhere else first.
+/// after it, then patches in the payload's length and CRC.
 void frameTermVote(std::string &Out, uint64_t Term,
                    const std::optional<NodeId> &Vote);
 void frameAppend(std::string &Out, uint64_t Index, const core::LogEntry &E);
