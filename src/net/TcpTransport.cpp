@@ -285,6 +285,10 @@ void TcpTransport::serviceInbound(int Fd) {
         closeInbound(Fd);
         return;
       }
+      // A short read drained the socket for now; epoll is level-
+      // triggered and reports it again if more bytes arrive.
+      if (static_cast<size_t>(R) < sizeof(Buf))
+        return;
       continue;
     }
     if (R < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
@@ -481,9 +485,9 @@ void TcpTransport::loop() {
       }
       switch (Kind) {
       case FdKind::Wake: {
+        // One read returns the counter and zeroes it.
         uint64_t V;
-        while (::read(WakeFd, &V, sizeof(V)) == sizeof(V)) {
-        }
+        (void)!::read(WakeFd, &V, sizeof(V));
         break;
       }
       case FdKind::Listen:

@@ -262,6 +262,7 @@ std::optional<size_t> RtCluster::readAndWait(uint64_t TimeoutMs,
     {
       sync::MutexLock Lock(ObsMu);
       ReadId = NextReadId++;
+      ReadResults.emplace(ReadId, std::nullopt);
       // Snapshot BEFORE issuing: everything committed by now must be
       // visible to a linearizable read that starts after now.
       LedgerLb = Ledger.size();
@@ -269,15 +270,18 @@ std::optional<size_t> RtCluster::readAndWait(uint64_t TimeoutMs,
     Target->read(ReadId);
 
     sync::MutexLock Lock(ObsMu);
+    auto It = ReadResults.find(ReadId);
     auto Retry = deadlineIn(40);
-    while (ReadResults.count(ReadId) == 0) {
+    while (!It->second) {
       if (ObsCv.waitUntil(ObsMu, Retry) == std::cv_status::timeout)
         break;
     }
-    auto It = ReadResults.find(ReadId);
-    if (It != ReadResults.end()) {
-      ReadOutcome R = It->second;
-      ReadResults.erase(It);
+    // Answered or abandoned, this attempt stops waiting: an answer
+    // landing after now is dropped by onReadDone.
+    std::optional<ReadOutcome> Answer = It->second;
+    ReadResults.erase(It);
+    if (Answer) {
+      const ReadOutcome &R = *Answer;
       if (R.Ok) {
         if (R.Index < LedgerLb) {
           std::ostringstream OS;
@@ -349,13 +353,15 @@ void RtCluster::onApply(NodeId Node, size_t Index, const core::LogEntry &E) {
       CommittedSeqs.insert(E.ClientSeq);
     if (E.Kind == raft::EntryKind::Reconfig)
       CommittedConfs.push_back(E.Conf);
+    // Only the first apply of an index is commit news; later replicas'
+    // applies are checked below and wake nobody.
+    notifyObservers();
   } else if (It->second != E) {
     std::ostringstream OS;
     OS << "divergent apply at index " << Index << ": node " << Node
        << " applied a different entry than first committed";
     Violations.push_back(OS.str());
   }
-  ObsCv.notifyAll();
 }
 
 void RtCluster::onLeader(NodeId Node, Time Term) {
@@ -368,13 +374,30 @@ void RtCluster::onLeader(NodeId Node, Time Term) {
        << Term;
     Violations.push_back(OS.str());
   }
-  ObsCv.notifyAll();
 }
 
 void RtCluster::onReadDone(NodeId, uint64_t ReadId, bool Ok, size_t Index) {
   sync::MutexLock Lock(ObsMu);
-  ReadResults[ReadId] = ReadOutcome{Ok, Index};
+  auto It = ReadResults.find(ReadId);
+  if (It == ReadResults.end())
+    return; // Its attempt gave up; nobody will look.
+  It->second = ReadOutcome{Ok, Index};
+  notifyObservers();
+}
+
+void RtCluster::notifyObservers() {
+  ++Broadcasts;
   ObsCv.notifyAll();
+}
+
+uint64_t RtCluster::observerBroadcasts() const {
+  sync::MutexLock Lock(ObsMu);
+  return Broadcasts;
+}
+
+size_t RtCluster::readResultCount() const {
+  sync::MutexLock Lock(ObsMu);
+  return ReadResults.size();
 }
 
 std::vector<std::string> RtCluster::checkFinalAgreement() {

@@ -201,6 +201,15 @@ public:
   /// Store-backed mode: per-node store counters summed cluster-wide.
   store::StoreStats storeStats() const;
 
+  /// Broadcasts that woke the clients waiting in submitAndWait,
+  /// reconfigAndWait and readAndWait: one per new ledger entry and one
+  /// per read answer an attempt still awaits.
+  uint64_t observerBroadcasts() const;
+
+  /// Read slots held: one per readAndWait attempt in progress. Zero
+  /// once no read is waiting, however late abandoned answers land.
+  size_t readResultCount() const;
+
 private:
   void onApply(NodeId Node, size_t Index, const core::LogEntry &E)
       ADORE_EXCLUDES(ObsMu);
@@ -209,6 +218,7 @@ private:
       ADORE_EXCLUDES(ObsMu);
   bool confCommittedLocked(const Config &NewConf) const
       ADORE_REQUIRES(ObsMu);
+  void notifyObservers() ADORE_REQUIRES(ObsMu);
 
   RtClusterOptions Opts;
   std::unique_ptr<ReconfigScheme> Scheme;
@@ -241,6 +251,7 @@ private:
   std::map<Time, std::set<NodeId>> LeadersByTerm ADORE_GUARDED_BY(ObsMu);
   std::vector<std::string> Violations ADORE_GUARDED_BY(ObsMu);
   uint64_t NextClientSeq ADORE_GUARDED_BY(ObsMu) = 1;
+  uint64_t Broadcasts ADORE_GUARDED_BY(ObsMu) = 0;
   /// Outcome of a resolved read: Ok plus the safe index it was served
   /// at. Keyed by the cluster-allocated ReadId; each attempt uses a
   /// fresh id so late answers from abandoned attempts stay distinct.
@@ -248,7 +259,10 @@ private:
     bool Ok = false;
     size_t Index = 0;
   };
-  std::map<uint64_t, ReadOutcome> ReadResults ADORE_GUARDED_BY(ObsMu);
+  /// One slot per attempt still waiting, empty until answered; an
+  /// answer for an id with no slot is dropped.
+  std::map<uint64_t, std::optional<ReadOutcome>>
+      ReadResults ADORE_GUARDED_BY(ObsMu);
   uint64_t NextReadId ADORE_GUARDED_BY(ObsMu) = 1;
 };
 

@@ -350,6 +350,57 @@ TEST(RtClusterTest, SurvivesCrashAndRestart) {
   EXPECT_TRUE(C.checkFinalAgreement().empty());
 }
 
+TEST(RtClusterTest, ClientIsWokenOncePerCommit) {
+  // A cost-ledger row: a write wakes the waiting client when its index
+  // first enters the ledger. The other replicas' applies of the same
+  // index are checked for divergence but wake nobody.
+  RtClusterOptions Opts;
+  Opts.Seed = 37;
+  RtCluster C(Opts);
+  C.start();
+  ASSERT_NE(C.waitForLeader(5000), InvalidNodeId);
+  constexpr int NumOps = 200;
+  for (int I = 0; I != NumOps; ++I)
+    ASSERT_TRUE(C.submitAndWait(MethodId(I), 10000));
+  C.stop();
+  // No reads ran, so new ledger entries are the only wake-ups owed.
+  EXPECT_GE(C.committedCount(), size_t(NumOps));
+  EXPECT_LE(C.observerBroadcasts(), C.committedCount());
+  EXPECT_TRUE(C.violations().empty());
+}
+
+TEST(RtClusterTest, AbandonedReadAnswersAreDropped) {
+  // ReadIndex with no lease: with both followers down the leader cannot
+  // confirm a round, so every 40 ms attempt gives up with its read still
+  // queued there. Once the followers return, those reads are answered
+  // late, and nothing may keep the answers.
+  RtClusterOptions Opts;
+  Opts.Seed = 41;
+  RtCluster C(Opts);
+  C.start();
+  NodeId Leader = C.waitForLeader(5000);
+  ASSERT_NE(Leader, InvalidNodeId);
+  ASSERT_TRUE(C.submitAndWait(1, 10000));
+
+  std::vector<NodeId> Followers;
+  for (NodeId Id : C.universe())
+    if (Id != Leader)
+      Followers.push_back(Id);
+  for (NodeId Id : Followers)
+    C.crash(Id);
+  EXPECT_FALSE(C.readAndWait(150).has_value());
+  for (NodeId Id : Followers)
+    C.restart(Id);
+
+  // A fresh read is served by a round that also releases every older
+  // queued read (or by a new leader, after the old one failed them), so
+  // once it returns all the late answers have landed.
+  ASSERT_TRUE(C.readAndWait(10000).has_value());
+  EXPECT_EQ(C.readResultCount(), 0u);
+  C.stop();
+  EXPECT_TRUE(C.violations().empty());
+}
+
 //===----------------------------------------------------------------------===//
 // Golden frames: the full wire-compat pin set
 //===----------------------------------------------------------------------===//
