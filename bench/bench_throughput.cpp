@@ -46,9 +46,11 @@
 //                                    skips the ladder entirely.
 //
 // Output: a per-run table, BENCH_throughput.json, and a baseline-vs-
-// pipelined summary. Exit is nonzero iff a run failed outright (no
-// leader, op timeout, open-loop completion shortfall); malformed flags
-// exit 2 with usage.
+// pipelined summary. Each run also reports vcsw/op: the process's
+// voluntary context switches over the run (setup included) per op
+// completed, a count of wake-ups that host noise barely moves. Exit is
+// nonzero iff a run failed outright (no leader, op timeout, open-loop
+// completion shortfall); malformed flags exit 2 with usage.
 //
 //===----------------------------------------------------------------------===//
 
@@ -67,6 +69,8 @@
 #include <map>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 using namespace adore;
 
@@ -123,6 +127,13 @@ int usage(const char *Prog) {
                "[--durable] [--groups N] [--read-ratio F]\n",
                Prog);
   return 2;
+}
+
+/// Voluntary context switches of every thread this process has run.
+uint64_t voluntarySwitches() {
+  rusage U{};
+  (void)getrusage(RUSAGE_SELF, &U);
+  return static_cast<uint64_t>(U.ru_nvcsw);
 }
 
 uint64_t monoUs() {
@@ -570,26 +581,32 @@ int main(int Argc, char **Argv) {
   W.key("durable").value(Bench.Durable);
   W.key("runs").beginArray();
 
-  std::printf("%-4s %-10s %-7s %8s %10s %9s %9s %9s\n", "net", "tuning",
-              "mode", "ops", "ops/sec", "p50us", "p99us", "p999us");
+  std::printf("%-4s %-10s %-7s %8s %10s %9s %9s %9s %8s\n", "net",
+              "tuning", "mode", "ops", "ops/sec", "p50us", "p99us", "p999us",
+              "vcsw/op");
   bool AnyFailed = false;
   // ops/sec keyed by (transport, mode, tuning) for the summary.
   std::map<std::string, double> Rates;
   for (const RunSpec &Spec : Specs) {
     size_t Ops = std::strcmp(Spec.Mode, "closed") == 0 ? ClosedOps
                                                        : Bench.Ops;
+    uint64_t Vcsw0 = voluntarySwitches();
     RunResult R = Bench.Groups > 1 ? runSharded(Bench, Spec, Ops)
                                    : runSingleGroup(Bench, Spec, Ops);
+    double VcswPerOp =
+        R.OpsCompleted ? static_cast<double>(voluntarySwitches() - Vcsw0) /
+                             static_cast<double>(R.OpsCompleted)
+                       : 0.0;
     const char *Net = rt::RtClusterOptions::transportName(Spec.Transport);
     if (!R.Ok) {
       AnyFailed = true;
       std::printf("%-4s %-10s %-7s FAILED: %s\n", Net, Spec.Tuning,
                   Spec.Mode, R.Error.c_str());
     } else {
-      std::printf("%-4s %-10s %-7s %8zu %10.0f %9.0f %9.0f %9.0f\n", Net,
-                  Spec.Tuning, Spec.Mode, R.OpsCompleted, R.OpsPerSec,
+      std::printf("%-4s %-10s %-7s %8zu %10.0f %9.0f %9.0f %9.0f %8.2f\n",
+                  Net, Spec.Tuning, Spec.Mode, R.OpsCompleted, R.OpsPerSec,
                   R.LatencyUs.percentile(50), R.LatencyUs.percentile(99),
-                  R.LatencyUs.percentile(99.9));
+                  R.LatencyUs.percentile(99.9), VcswPerOp);
       Rates[std::string(Net) + "/" + Spec.Mode + "/" + Spec.Tuning] =
           R.OpsPerSec;
     }
@@ -607,6 +624,7 @@ int main(int Argc, char **Argv) {
     W.key("ops_completed").value(uint64_t(R.OpsCompleted));
     W.key("elapsed_s").value(R.ElapsedS);
     W.key("ops_per_sec").value(R.OpsPerSec);
+    W.key("vcsw_per_op").value(VcswPerOp);
     if (!R.LatencyUs.empty()) {
       W.key("lat_us_mean").value(R.LatencyUs.mean());
       W.key("lat_us_p50").value(R.LatencyUs.percentile(50));
