@@ -4,13 +4,13 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The sans-I/O core on real threads: three rt::RtNode replicas — each a
-// worker thread owning one core::RaftCore, exchanging length-framed
-// binary messages over an in-process bus — elect a leader against the
-// wall clock, commit client commands, hot-swap the membership, and ride
-// out a crash/restart. The protocol logic is the same translation unit
-// the simulator replays deterministically and the model checker
-// explores exhaustively; only the host differs.
+// The sans-I/O core on real threads: three rt::RtNode replicas — each
+// one core::RaftCore stepped by one thread at a time, exchanging
+// length-framed binary messages over an in-process bus — elect a leader
+// against the wall clock, commit client commands, hot-swap the
+// membership, and ride out a crash/restart. The protocol logic is the
+// same translation unit the simulator replays deterministically and the
+// model checker explores exhaustively; only the host differs.
 //
 // Every replica persists through the durable store onto real files: a
 // CRC-framed write-ahead log plus snapshots under ./rt_demo_store/n<id>/
@@ -145,8 +145,9 @@ int runHealing() {
             .count());
   };
 
-  // The suspicion tap runs on node worker threads; Mu serializes it
-  // against the main thread's healer ticks.
+  // The suspicion tap runs on whichever thread steps a node; Mu
+  // serializes it against the main thread's healer ticks, and is never
+  // held across a cluster call.
   sync::Mutex Mu;
   std::optional<heal::Healer> Doc;
 

@@ -134,9 +134,11 @@ ChaosRunResult adore::chaos::runRtScenario(const RtRunOptions &Opts,
   // Self-healing setup (kill-forever only): one Healer per data group,
   // fed by the suspicion tap. Node ids are group-spaced
   // (shard::groupIdBase), so the observing node's id names the group.
-  // The tap runs on node worker threads; HealMu serializes it against
-  // the harness thread's healer ticks. Declared before the clusters so
-  // the workers never outlive what the tap captures.
+  // The tap runs on whichever thread steps a node; HealMu serializes it
+  // against the harness thread's healer ticks and is never held across
+  // a client call, which may step a node and fire the tap itself.
+  // Declared before the clusters so no step outlives what the tap
+  // captures.
   bool Healing = Opts.Kind == Scenario::KillForever;
   Result.Healing = Healing;
   sync::Mutex HealMu;

@@ -47,6 +47,9 @@ void setNoDelay(int Fd) {
 /// writev batches at most this many queued frames per syscall.
 constexpr int MaxIov = 64;
 
+/// The transport whose loop runs on this thread, if any.
+thread_local const TcpTransport *LoopOf = nullptr;
+
 } // namespace
 
 TcpTransport::TcpTransport(TcpTransportOptions Opts) : Opts(Opts) {
@@ -163,8 +166,9 @@ void TcpTransport::post(NodeId To, std::string Frame) {
     P.QueuedBytes += Framed;
     // The loop only sleeps once every queued peer is armed (EPOLLOUT or
     // a retry timeout), so a wake is needed exactly on the empty ->
-    // non-empty transition.
-    NeedWake = P.WriteQ.size() == 1;
+    // non-empty transition. The loop's own posts (replies stepped inside
+    // a delivery handler) need none: it services peers before sleeping.
+    NeedWake = P.WriteQ.size() == 1 && LoopOf != this;
   }
   if (NeedWake)
     wakeLoop();
@@ -443,6 +447,7 @@ uint64_t TcpTransport::servicePeers() {
 }
 
 void TcpTransport::loop() {
+  LoopOf = this;
   epoll_event Events[64];
   for (;;) {
     {

@@ -11,7 +11,8 @@
 /// a per-destination connection, queues length-framed bytes, and lets a
 /// single epoll loop thread flush them with vectored writev. Reads are
 /// reassembled by net::FrameSplitter and delivered to the endpoint's
-/// handler on the loop thread.
+/// handler on the loop thread; a handler may post, and its frames leave
+/// before the loop next sleeps.
 ///
 /// Semantics match the in-process Bus deliberately — best-effort
 /// datagram-over-stream: frames to unattached ids are dropped, a
@@ -51,7 +52,7 @@ namespace net {
 struct TcpTransportOptions {
   /// Per-destination cap on queued-but-unsent bytes; past it, post()
   /// drops frames (datagram semantics — backpressure never blocks a
-  /// node's worker thread).
+  /// thread stepping a node).
   size_t MaxQueuedBytesPerPeer = size_t(1) << 25;
   /// Backoff before re-dialing a destination whose connection dropped
   /// or refused.

@@ -71,11 +71,15 @@ struct RtClusterOptions {
   /// Observation tap called on every apply (same arguments as the
   /// internal hook, global node ids), OUTSIDE the cluster's locks — a
   /// sharded pool hangs its map state machine off the meta group here.
+  /// Like every hook it runs on whichever thread steps the node: its
+  /// worker, the TCP loop, a Bus poster, or a client inside
+  /// submitAndWait/readAndWait/reconfigAndWait/submitAsync. So no
+  /// caller of those may hold a lock the tap takes.
   std::function<void(NodeId, size_t, const core::LogEntry &)> OnApplyExtra;
   /// Observation tap for suspicion transitions (observer, peer,
-  /// suspected-now), called from node worker threads outside the
-  /// cluster's locks. The self-healing driver hangs its Healer off
-  /// this.
+  /// suspected-now), called on the stepping thread (as OnApplyExtra)
+  /// outside the cluster's locks. The self-healing driver hangs its
+  /// Healer off this.
   std::function<void(NodeId, NodeId, bool)> OnSuspicion;
   uint64_t Seed = 1;
   core::CoreOptions Node = fastNodeOptions();
@@ -233,10 +237,10 @@ private:
   std::vector<std::unique_ptr<store::NodeStore>> Stores;
   std::vector<std::unique_ptr<RtNode>> Nodes;
 
-  /// Serializes start()/stop(); node worker threads never take it, so
-  /// stop() may join them while holding it. Never hold ObsMu across a
-  /// lifecycle call: the workers' observation callbacks need ObsMu to
-  /// drain.
+  /// Serializes start()/stop(); no node step takes it, so stop() may
+  /// join the workers and wait out inline steps while holding it. Never
+  /// hold ObsMu across a lifecycle call: the steps' observation
+  /// callbacks need ObsMu to drain.
   mutable sync::Mutex LifeMu;
   bool Running ADORE_GUARDED_BY(LifeMu) = false;
 

@@ -14,6 +14,22 @@
 using namespace adore;
 using namespace adore::rt;
 
+namespace {
+
+/// Cores the calling thread is stepping now. An input posted from inside
+/// a step (a Bus post, a hook) queues instead of stepping a second core
+/// on the same stack.
+thread_local unsigned StepDepth = 0;
+
+struct SteppingScope {
+  SteppingScope() { ++StepDepth; }
+  ~SteppingScope() { --StepDepth; }
+  SteppingScope(const SteppingScope &) = delete;
+  SteppingScope &operator=(const SteppingScope &) = delete;
+};
+
+} // namespace
+
 RtNode::RtNode(NodeId Id, const ReconfigScheme &Scheme, Config InitialConf,
                core::CoreOptions Opts, uint64_t Seed, Transport &Net,
                core::HostHooks Hooks, store::NodeStore *Store,
@@ -51,6 +67,7 @@ void RtNode::start() {
       return;
     Started = true;
     Stopping = false;
+    Busy = true; // The worker's Core.start() steps first.
   }
   Worker = std::thread([this] { run(); });
 }
@@ -64,7 +81,8 @@ void RtNode::stop() {
     Stopping = true;
   }
   Cv.notifyAll();
-  // Joining under LifeMu is safe: the worker never acquires it.
+  // Joining under LifeMu is safe: the worker never acquires it. The
+  // worker returns only once no inline step is in flight.
   if (Worker.joinable())
     Worker.join();
   sync::MutexLock Lock(Mu);
@@ -72,11 +90,54 @@ void RtNode::stop() {
 }
 
 void RtNode::enqueue(Item It) {
-  {
-    sync::MutexLock Lock(Mu);
+  sync::MutexLock Lock(Mu);
+  // Step inline only when nothing queued could be overtaken, nobody owns
+  // the core, the worker is not waiting on a due timer, and this thread
+  // is not inside another step.
+  if (!Started || Stopping || Busy || WorkerWaiting || !Inbox.empty() ||
+      !isBatchable(It) || StepDepth != 0) {
+    // An owner looks at the inbox before it lets go, so only an idle
+    // worker needs the wake-up.
+    bool Wake = !Busy;
     Inbox.push_back(std::move(It));
+    Lock.unlock();
+    if (Wake)
+      Cv.notifyAll();
+    return;
   }
-  Cv.notifyAll();
+  Busy = true;
+  Lock.unlock();
+  stepInline(It);
+}
+
+void RtNode::stepInline(Item &It) {
+  SteppingScope Scope;
+  core::Effects Effs;
+  step(It, Effs);
+  dispatch(std::move(Effs));
+  sync::MutexLock Lock(Mu);
+  // What queued during the step (in the TCP closed loop, often the
+  // client's next submit) is stepped here, without waking the worker.
+  if (!WorkerWaiting && !Stopping) {
+    std::vector<Item> Batch = takeBatch();
+    if (!Batch.empty()) {
+      Lock.unlock();
+      stepBatch(Batch);
+      Lock.lock();
+    }
+  }
+  // A timer armed earlier than the worker's sleep target pulls the
+  // target in, so the worker wakes for it even if another caller owns
+  // the core by then.
+  std::optional<Clock::time_point> Next = nextDeadline();
+  bool Earlier = Next && *Next < SleepTarget;
+  if (Earlier)
+    SleepTarget = *Next;
+  bool Wake = !Inbox.empty() || WorkerWaiting || Stopping || Earlier;
+  Busy = false;
+  Lock.unlock();
+  if (Wake)
+    Cv.notifyAll();
 }
 
 void RtNode::enqueueFrame(std::string Frame) {
@@ -145,59 +206,89 @@ std::optional<RtNode::Clock::time_point> RtNode::nextDeadline() const {
 }
 
 void RtNode::run() {
-  dispatch(Core.start());
+  {
+    SteppingScope Scope;
+    dispatch(Core.start());
+  }
   sync::MutexLock Lock(Mu);
+  Busy = false;
   for (;;) {
-    if (Stopping)
+    if (Stopping) {
+      while (Busy)
+        Cv.wait(Mu);
       return;
-    if (Inbox.empty()) {
-      std::optional<Clock::time_point> Wake = nextDeadline();
-      if (Wake) {
-        if (Clock::now() < *Wake) {
-          Cv.waitUntil(Mu, *Wake);
-          continue; // Re-check stop flag and inbox first.
-        }
-        // A deadline is due: fire outside the inbox lock.
-        Lock.unlock();
-        fireDueTimers();
-        Lock.lock();
-        continue;
-      }
-      Cv.wait(Mu);
+    }
+    if (Busy) {
+      // An inline caller owns the core. Once the sleep target is due,
+      // ask for the core so timers cannot be starved; the owner wakes
+      // us when it lets go.
+      WorkerWaiting = Clock::now() >= SleepTarget;
+      sleepUntil(WorkerWaiting ? Clock::time_point::max() : SleepTarget);
       continue;
     }
-    // Drain a batch: consecutive core-step items (frames, submits,
-    // reconfigs) coalesce into ONE effect batch, so a store-backed
-    // host's persist pre-pass fsyncs once for the whole burst (group
-    // commit). This is the only batching on the write path: the core
-    // emits each submit's frames as it steps it, and they leave
-    // together after the fsync. Crash/restart are barriers and run
-    // alone, preserving their store side-effect ordering.
-    // MaxInboxBatch=1 reproduces the one-item-one-dispatch schedule.
-    Item First = std::move(Inbox.front());
-    Inbox.pop_front();
-    if (!isBatchable(First)) {
-      Lock.unlock();
-      processBarrier(First);
-    } else {
-      std::vector<Item> Batch;
-      Batch.push_back(std::move(First));
-      while (Batch.size() < Host.MaxInboxBatch && !Inbox.empty() &&
-             isBatchable(Inbox.front())) {
-        Batch.push_back(std::move(Inbox.front()));
-        Inbox.pop_front();
-      }
-      Lock.unlock();
-      core::Effects Effs;
-      for (Item &It : Batch)
-        step(It, Effs);
-      dispatch(std::move(Effs));
+    WorkerWaiting = false;
+    // Nobody owns the core, so reading the timers under Mu is safe.
+    std::optional<Clock::time_point> Next = nextDeadline();
+    if (Inbox.empty() && !(Next && *Next <= Clock::now())) {
+      SleepTarget = Next.value_or(Clock::time_point::max());
+      sleepUntil(SleepTarget);
+      continue; // Re-check stop flag, owner and inbox first.
     }
-    // Timers may have come due while processing; handle them before
-    // sleeping again.
-    fireDueTimers();
+    Busy = true;
+    // Crash/restart are barriers and run alone, preserving their store
+    // side-effect ordering; other items go through takeBatch.
+    std::optional<Item> Barrier;
+    std::vector<Item> Batch;
+    if (!Inbox.empty() && !isBatchable(Inbox.front())) {
+      Barrier = std::move(Inbox.front());
+      Inbox.pop_front();
+    } else {
+      Batch = takeBatch();
+    }
+    Lock.unlock();
+    {
+      SteppingScope Scope;
+      if (Barrier)
+        processBarrier(*Barrier);
+      else if (!Batch.empty())
+        stepBatch(Batch);
+      // Timers may have come due while processing; handle them before
+      // sleeping again.
+      fireDueTimers();
+    }
     Lock.lock();
+    Busy = false;
   }
+}
+
+void RtNode::sleepUntil(Clock::time_point T) {
+  if (T == Clock::time_point::max())
+    Cv.wait(Mu);
+  else
+    Cv.waitUntil(Mu, T);
+}
+
+std::vector<RtNode::Item> RtNode::takeBatch() {
+  // Consecutive core-step items (frames, submits, reconfigs, reads)
+  // coalesce into ONE effect batch, so a store-backed host's persist
+  // pre-pass fsyncs once for the whole burst (group commit). This is the
+  // only batching on the write path: the core emits each submit's frames
+  // as it steps it, and they leave together after the fsync.
+  // MaxInboxBatch=1 reproduces the one-item-one-dispatch schedule.
+  std::vector<Item> Batch;
+  while ((Batch.empty() || Batch.size() < Host.MaxInboxBatch) &&
+         !Inbox.empty() && isBatchable(Inbox.front())) {
+    Batch.push_back(std::move(Inbox.front()));
+    Inbox.pop_front();
+  }
+  return Batch;
+}
+
+void RtNode::stepBatch(std::vector<Item> &Batch) {
+  core::Effects Effs;
+  for (Item &It : Batch)
+    step(It, Effs);
+  dispatch(std::move(Effs));
 }
 
 bool RtNode::isBatchable(const Item &It) {
@@ -231,7 +322,7 @@ void RtNode::step(Item &It, core::Effects &Out) {
     return;
   case Item::Kind::Crash:
   case Item::Kind::Restart:
-    // Barriers never reach here; run() routes them to processBarrier.
+    // Barriers never reach here; they go to processBarrier.
     return;
   }
 }
@@ -256,7 +347,7 @@ void RtNode::processBarrier(Item &It) {
   case Item::Kind::Submit:
   case Item::Kind::Reconfig:
   case Item::Kind::Read:
-    // Batchable items never reach here; run() routes them to step().
+    // Batchable items never reach here; they go to step().
     return;
   }
 }

@@ -5,17 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The real-time host for core::RaftCore: one dedicated thread owns the
-/// core exclusively and is the only code that ever touches it, so the
-/// core itself needs no locks. All input — wire frames from the Bus,
-/// client commands, admin reconfigs, crash/restart control — lands in a
-/// mutex-protected inbox the thread drains in arrival order; the core's
-/// SetTimer effects become steady_clock deadlines the thread sleeps
-/// toward (condition-variable wait_until), and its Send effects are
-/// serialized through rt/Wire.h and posted to the bus.
+/// The real-time host for core::RaftCore. One thread at a time owns the
+/// core, so the core itself needs no locks. Ownership is claimed and
+/// released under the inbox mutex.
+///
+/// An input (a wire frame, a client command, an admin reconfig) that
+/// finds the node idle is stepped on the calling thread: a client inside
+/// submit()/read()/requestReconfig(), the TCP loop inside its delivery
+/// handler, or a Bus poster. Otherwise it lands in the inbox, which the
+/// node's worker thread drains in arrival order. The worker is the owner
+/// of last resort: it runs the core's start, the crash/restart barriers,
+/// queued items and the timers. The core's SetTimer effects become
+/// steady_clock deadlines the worker sleeps toward, and its Send effects
+/// are serialized through rt/Wire.h and posted to the transport.
 ///
 /// Crash here is *state-level* fail-stop, matching the simulator: the
-/// thread keeps running but the core discards volatile state and ignores
+/// worker keeps running but the core discards volatile state and ignores
 /// input until restart, which mirrors a process that lost memory but
 /// kept its disk.
 ///
@@ -60,7 +65,7 @@ struct RtHostOptions {
   size_t MaxInboxBatch = 1;
 };
 
-/// Lock-free-readable snapshot of a node, refreshed by its thread after
+/// Snapshot of a node, refreshed by whichever thread stepped it, after
 /// every step.
 struct RtNodeStatus {
   core::Role Role = core::Role::Follower;
@@ -77,12 +82,16 @@ struct RtNodeStatus {
 /// One threaded replica.
 class RtNode {
 public:
-  /// \p Hooks run on the node's thread and must be thread-safe against
-  /// other nodes' threads. \p Store, when non-null, makes persistence
-  /// real: the node adopts whatever the store's directory holds at
-  /// construction, flushes the WAL before acting on any Persist-carrying
-  /// effect batch, powers the disk down on crash, and recovers from it
-  /// on restart (cross-checking the result against the in-memory copy).
+  /// \p Hooks run on whichever thread steps the node: its worker, or a
+  /// caller of enqueueFrame/submit/requestReconfig/read that found it
+  /// idle. They must be thread-safe against other nodes' steps, and a
+  /// caller of those methods must not hold a lock a hook takes.
+  ///
+  /// \p Store, when non-null, makes persistence real: the node adopts
+  /// whatever the store's directory holds at construction, flushes the
+  /// WAL before acting on any Persist-carrying effect batch, powers the
+  /// disk down on crash, and recovers from it on restart
+  /// (cross-checking the result against the in-memory copy).
   RtNode(NodeId Id, const ReconfigScheme &Scheme, Config InitialConf,
          core::CoreOptions Opts, uint64_t Seed, Transport &Net,
          core::HostHooks Hooks, store::NodeStore *Store = nullptr,
@@ -92,30 +101,34 @@ public:
   RtNode(const RtNode &) = delete;
   RtNode &operator=(const RtNode &) = delete;
 
-  /// Spawns the worker thread and starts the core. Idempotent; safe to
+  /// Spawns the worker thread, which starts the core. Idempotent; safe to
   /// race with stop() (LifeMu serializes lifecycle transitions).
   void start() ADORE_EXCLUDES(LifeMu, Mu);
 
-  /// Stops and joins the worker thread. Idempotent.
+  /// Stops and joins the worker thread, and waits out a step in flight
+  /// on another thread. Idempotent.
   void stop() ADORE_EXCLUDES(LifeMu, Mu);
 
   NodeId id() const { return Id; }
 
-  /// Enqueues a serialized frame from the bus (any thread).
+  /// A serialized frame from the transport (any thread). This and the
+  /// next three step the core on the calling thread when the node is
+  /// idle, and enqueue the input otherwise.
   void enqueueFrame(std::string Frame);
 
-  /// Enqueues a client command (any thread). Acceptance is observable
-  /// only through commitment — like a real network client's.
+  /// A client command (any thread). Acceptance is observable only
+  /// through commitment — like a real network client's.
   void submit(MethodId Method, uint64_t ClientSeq);
 
-  /// Enqueues an admin membership-change request (any thread).
+  /// An admin membership-change request (any thread).
   void requestReconfig(Config NewConf);
 
-  /// Enqueues a linearizable read (any thread); the outcome arrives via
+  /// A linearizable read (any thread); the outcome arrives via
   /// core::HostHooks::OnRead with the same host-chosen \p ReadId.
   void read(uint64_t ReadId);
 
-  /// State-level fail-stop / recovery (any thread).
+  /// State-level fail-stop / recovery (any thread). Always queued for
+  /// the worker; inputs posted after either are stepped after it.
   void crash();
   void restart();
 
@@ -133,9 +146,9 @@ public:
     return StoreViolations;
   }
 
-  /// Direct read access to the hosted core. Safe ONLY while the worker
-  /// thread is not running (before start() or after stop()); used by
-  /// end-of-run whole-cluster checks.
+  /// Direct read access to the hosted core. Safe ONLY while the node is
+  /// not running (before start() or after stop()); used by end-of-run
+  /// whole-cluster checks.
   const core::RaftCore &coreForInspection() const { return Core; }
 
 private:
@@ -159,7 +172,18 @@ private:
   using Clock = std::chrono::steady_clock;
 
   void run();
-  void enqueue(Item It);
+  /// Steps \p It on the calling thread if the node is idle (see the
+  /// file comment), otherwise queues it for the worker.
+  void enqueue(Item It) ADORE_EXCLUDES(Mu);
+  /// The inline path: steps \p It, then one batch of what queued
+  /// meanwhile, then releases the core. Requires Busy claimed.
+  void stepInline(Item &It) ADORE_EXCLUDES(Mu);
+  /// Waits on Cv until notified or \p T (max: until notified).
+  void sleepUntil(Clock::time_point T) ADORE_REQUIRES(Mu);
+  /// Pops the inbox's next batch of up to MaxInboxBatch batchable items.
+  std::vector<Item> takeBatch() ADORE_REQUIRES(Mu);
+  /// Steps \p Batch through the core as ONE effect batch.
+  void stepBatch(std::vector<Item> &Batch);
   uint64_t nowUs() const;
   /// True for items that may coalesce into one effect batch; false for
   /// crash/restart barriers.
@@ -172,7 +196,7 @@ private:
   void dispatch(core::Effects Effs);
   void publishStatus();
 
-  /// One armed core timer mapped onto the steady clock. Worker-thread
+  /// One armed core timer mapped onto the steady clock. Core owner
   /// only.
   struct Deadline {
     bool Armed = false;
@@ -189,10 +213,12 @@ private:
   Transport *Net;
   core::HostHooks Hooks;
   RtHostOptions Host;
-  core::RaftCore Core; ///< Worker-thread only once start()ed.
+  core::RaftCore Core; ///< Only the thread that claimed Busy touches it.
   Clock::time_point Epoch;
 
-  /// Indexed by core::TimerId. Worker-thread only.
+  /// Indexed by core::TimerId. Same ownership as Core, except that the
+  /// worker reads them under Mu while nobody owns the core, to pick its
+  /// sleep.
   std::array<Deadline, 2> Timers;
 
   /// Serializes start()/stop() end to end: the worker thread never
@@ -205,13 +231,23 @@ private:
   std::deque<Item> Inbox ADORE_GUARDED_BY(Mu);
   bool Stopping ADORE_GUARDED_BY(Mu) = false;
   bool Started ADORE_GUARDED_BY(Mu) = false;
+  /// Some thread owns the core: the worker for Core.start(), barriers,
+  /// batches and timers, or an inline caller.
+  bool Busy ADORE_GUARDED_BY(Mu) = false;
+  /// The worker has a due timer and waits for an inline owner to let
+  /// go; inputs queue until it has run.
+  bool WorkerWaiting ADORE_GUARDED_BY(Mu) = false;
+  /// The deadline the worker sleeps toward (max when none). An inline
+  /// step that arms an earlier timer pulls it in and wakes the worker.
+  Clock::time_point SleepTarget ADORE_GUARDED_BY(Mu) =
+      Clock::time_point::max();
 
   mutable sync::Mutex StatusMu;
   RtNodeStatus Cached ADORE_GUARDED_BY(StatusMu);
 
   std::atomic<uint64_t> Malformed{0};
   std::vector<std::string> StoreViolations; ///< Worker-thread only.
-  store::NodeStore *Store = nullptr; ///< Worker-thread only once started.
+  store::NodeStore *Store = nullptr; ///< Core owner only once started.
 
   std::thread Worker ADORE_GUARDED_BY(LifeMu);
 };

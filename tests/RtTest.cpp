@@ -22,10 +22,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -399,6 +404,304 @@ TEST(RtClusterTest, AbandonedReadAnswersAreDropped) {
   EXPECT_EQ(C.readResultCount(), 0u);
   C.stop();
   EXPECT_TRUE(C.violations().empty());
+}
+
+//===----------------------------------------------------------------------===//
+// RtNode: who steps the core
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A one-shot gate: wait() blocks until open().
+class Gate {
+public:
+  void open() {
+    std::lock_guard<std::mutex> L(M);
+    Opened = true;
+    Cv.notify_all();
+  }
+  void wait() {
+    std::unique_lock<std::mutex> L(M);
+    Cv.wait(L, [this] { return Opened; });
+  }
+
+private:
+  std::mutex M;
+  std::condition_variable Cv;
+  bool Opened = false;
+};
+
+/// Polls \p Done every millisecond for up to \p Ms.
+bool eventually(const std::function<bool()> &Done, int Ms = 5000) {
+  auto Until = std::chrono::steady_clock::now() + std::chrono::milliseconds(Ms);
+  while (!Done()) {
+    if (std::chrono::steady_clock::now() >= Until)
+      return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// Every timer 10 s away: nothing wakes a test's worker on its own.
+core::CoreOptions quietOptions() {
+  core::CoreOptions O;
+  O.ElectionTimeoutMinUs = 10000000;
+  O.ElectionTimeoutMaxUs = 10000000;
+  O.HeartbeatUs = 10000000;
+  return O;
+}
+
+/// Lets the worker finish whatever it is stepping and go idle.
+void settle() { std::this_thread::sleep_for(std::chrono::milliseconds(50)); }
+
+/// Elects a one-member node at once: a TimeoutNow frame starts its
+/// election, and it is its own quorum.
+void electAlone(Bus &B, RtNode &N) {
+  settle();
+  core::Msg M;
+  M.K = core::Msg::Kind::TimeoutNow;
+  M.From = N.id();
+  M.To = N.id();
+  M.Term = N.status().Term;
+  B.post(N.id(), encodeMsg(M));
+  ASSERT_TRUE(eventually(
+      [&N] { return N.status().Role == core::Role::Leader; }));
+  settle();
+}
+
+/// Per-thread tallies of a node's client applies (a leader's no-op has
+/// no ClientSeq) and read answers.
+struct Probe {
+  const std::thread::id Caller = std::this_thread::get_id();
+  std::atomic<int> AppliesHere{0}, AppliesElsewhere{0};
+  std::atomic<int> ReadsOkHere{0}, ReadsOther{0};
+  /// The answer to each read, +1 Ok or -1 failed.
+  std::mutex M;
+  std::map<uint64_t, int> Answers;
+
+  core::HostHooks hooks() {
+    core::HostHooks H;
+    H.OnApply = [this](NodeId, size_t, const core::LogEntry &E) {
+      if (E.ClientSeq != 0)
+        ++(std::this_thread::get_id() == Caller ? AppliesHere
+                                                : AppliesElsewhere);
+    };
+    H.OnRead = [this](NodeId, uint64_t Id, bool Ok, size_t) {
+      ++(Ok && std::this_thread::get_id() == Caller ? ReadsOkHere
+                                                    : ReadsOther);
+      std::lock_guard<std::mutex> L(M);
+      Answers[Id] = Ok ? 1 : -1;
+    };
+    return H;
+  }
+
+  int answer(uint64_t Id) {
+    std::lock_guard<std::mutex> L(M);
+    auto It = Answers.find(Id);
+    return It == Answers.end() ? 0 : It->second;
+  }
+};
+
+} // namespace
+
+TEST(RtNodeTest, IdleNodeStepsOnTheCallersThread) {
+  // A one-node cluster is its own quorum, and with a 10 s heartbeat no
+  // timer fires after its election, so the leader is idle whenever this
+  // thread calls in: each write applies on this thread before
+  // submitAndWait returns.
+  const std::thread::id Caller = std::this_thread::get_id();
+  std::atomic<int> AppliesHere{0}, AppliesElsewhere{0};
+  RtClusterOptions O;
+  O.NumNodes = 1;
+  O.Node.HeartbeatUs = 10000000;
+  O.OnApplyExtra = [&](NodeId, size_t, const core::LogEntry &E) {
+    if (E.ClientSeq != 0) // Not the leader's no-op.
+      ++(std::this_thread::get_id() == Caller ? AppliesHere
+                                              : AppliesElsewhere);
+  };
+  RtCluster C(O);
+  C.start();
+  ASSERT_NE(C.waitForLeader(5000), InvalidNodeId);
+  settle();
+  for (int I = 0; I != 100; ++I) {
+    ASSERT_TRUE(C.submitAndWait(MethodId(I), 5000));
+    ASSERT_EQ(AppliesHere.load(), I + 1);
+  }
+  for (int I = 0; I != 100; ++I)
+    ASSERT_TRUE(C.readAndWait(5000).has_value());
+  C.stop();
+  EXPECT_EQ(AppliesElsewhere.load(), 0);
+  EXPECT_TRUE(C.violations().empty());
+}
+
+TEST(RtNodeTest, IdleNodeAnswersReadsOnTheCallersThread) {
+  // The same at the node, where the read hook is visible: a one-member
+  // leader with no timer due commits each write, and answers each read,
+  // on this thread before submit() or read() returns.
+  auto Scheme = makeScheme(SchemeKind::RaftSingleNode);
+  Bus B;
+  Probe P;
+  RtNode N(1, *Scheme, Config(NodeSet{1}), quietOptions(), 3, B, P.hooks());
+  N.start();
+  electAlone(B, N);
+  for (int I = 0; I != 100; ++I) {
+    N.submit(MethodId(I), uint64_t(I) + 1);
+    ASSERT_EQ(P.AppliesHere.load(), I + 1);
+  }
+  for (int I = 0; I != 100; ++I) {
+    N.read(uint64_t(I) + 1);
+    ASSERT_EQ(P.ReadsOkHere.load(), I + 1);
+  }
+  N.stop();
+  EXPECT_EQ(P.AppliesElsewhere.load(), 0);
+  EXPECT_EQ(P.ReadsOther.load(), 0);
+}
+
+TEST(RtNodeTest, InputsPostedDuringACrashBarrierStepAfterIt) {
+  // Crash is a barrier for the worker. A read posted while it runs, or
+  // while it waits in the inbox behind a busy core, is stepped after it
+  // and fails; it is never served Ok by the pre-crash leader.
+  auto Scheme = makeScheme(SchemeKind::RaftSingleNode);
+  Bus B;
+  Probe P;
+  store::MemVfs Disk(5);
+  store::NodeStore St(Disk, "n1");
+  std::atomic<bool> BlockCrash{true};
+  Gate InCrash, EndCrash;
+  St.setCrashHook([&] {
+    if (BlockCrash) {
+      InCrash.open();
+      EndCrash.wait();
+    }
+  });
+  std::atomic<bool> BlockApply{false};
+  Gate InApply, EndApply;
+  core::HostHooks H = P.hooks();
+  H.OnApply = [&, Tally = H.OnApply](NodeId N, size_t I,
+                                     const core::LogEntry &E) {
+    Tally(N, I, E);
+    if (BlockApply.exchange(false)) {
+      InApply.open();
+      EndApply.wait();
+    }
+  };
+  RtNode N(1, *Scheme, Config(NodeSet{1}), quietOptions(), 5, B, H, &St);
+  N.start();
+  electAlone(B, N);
+
+  // While the barrier runs: the worker is inside the store's crash.
+  N.crash();
+  InCrash.wait();
+  N.read(1);
+  N.submit(1, 1);
+  EXPECT_EQ(P.answer(1), 0);
+  EndCrash.open();
+  ASSERT_TRUE(eventually([&] { return P.answer(1) != 0; }));
+  EXPECT_EQ(P.answer(1), -1);
+  EXPECT_EQ(P.AppliesHere.load() + P.AppliesElsewhere.load(), 0);
+
+  BlockCrash = false;
+  N.restart();
+  electAlone(B, N);
+
+  // While the barrier is queued: another thread's inline step holds the
+  // core, blocked in its apply.
+  BlockApply = true;
+  std::thread Writer([&N] { N.submit(2, 2); });
+  InApply.wait();
+  N.crash();
+  N.read(2);
+  EndApply.open();
+  Writer.join();
+  ASSERT_TRUE(eventually([&] { return P.answer(2) != 0; }));
+  EXPECT_EQ(P.answer(2), -1);
+  N.stop();
+}
+
+TEST(RtNodeTest, StopWaitsOutAnInlineStep) {
+  // stop() must not return while another thread steps the core: after
+  // it, coreForInspection() reads a quiet core that holds the entry.
+  auto Scheme = makeScheme(SchemeKind::RaftSingleNode);
+  Bus B;
+  Gate InApply, EndApply;
+  core::HostHooks H;
+  H.OnApply = [&](NodeId, size_t, const core::LogEntry &E) {
+    if (E.ClientSeq != 0) {
+      InApply.open();
+      EndApply.wait();
+    }
+  };
+  RtNode N(1, *Scheme, Config(NodeSet{1}), quietOptions(), 9, B, H);
+  N.start();
+  electAlone(B, N);
+  std::thread Writer([&N] { N.submit(42, 1); });
+  InApply.wait();
+  std::atomic<bool> Stopped{false};
+  std::thread Stopper([&] {
+    N.stop();
+    Stopped = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(Stopped.load());
+  EndApply.open();
+  Writer.join();
+  Stopper.join();
+  const core::RaftCore &C = N.coreForInspection();
+  ASSERT_GE(C.commitIndex(), 1u);
+  EXPECT_EQ(C.entry(C.commitIndex()).Method, MethodId(42));
+}
+
+TEST(RtNodeTest, InlineStepWakesWorkerForAnEarlierTimer) {
+  // The worker sleeps toward its election deadline, 300-400 ms out. A
+  // vote stepped on this thread makes the node leader and arms a 10 ms
+  // heartbeat; the worker must wake for it, not sleep past it.
+  auto Scheme = makeScheme(SchemeKind::RaftSingleNode);
+  Bus B;
+  std::mutex M;
+  std::optional<Time> VoteTerm;
+  std::atomic<int> Appends{0};
+  Gate Asked;
+  B.attach(2, [&](std::string Frame) {
+    core::Msg Got;
+    ASSERT_TRUE(decodeMsg(Frame, Got));
+    if (Got.K == core::Msg::Kind::AppendEntries)
+      ++Appends;
+    if (Got.K == core::Msg::Kind::RequestVote) {
+      std::lock_guard<std::mutex> L(M);
+      VoteTerm = Got.Term;
+      Asked.open();
+    }
+  });
+  const std::thread::id Caller = std::this_thread::get_id();
+  std::atomic<bool> LedHere{false};
+  core::HostHooks H;
+  H.OnLeader = [&](NodeId, Time) {
+    LedHere = std::this_thread::get_id() == Caller;
+  };
+  core::CoreOptions O;
+  O.ElectionTimeoutMinUs = 300000;
+  O.ElectionTimeoutMaxUs = 400000;
+  O.HeartbeatUs = 10000;
+  RtNode N(1, *Scheme, Config(NodeSet{1, 2}), O, 11, B, H);
+  N.start();
+  Asked.wait();
+  settle();
+  core::Msg Vote;
+  Vote.K = core::Msg::Kind::VoteReply;
+  Vote.From = 2;
+  Vote.To = 1;
+  {
+    std::lock_guard<std::mutex> L(M);
+    Vote.Term = *VoteTerm;
+  }
+  Vote.Granted = true;
+  B.post(1, encodeMsg(Vote));
+  ASSERT_TRUE(LedHere.load());
+  // The first append left with the election; the next one is the
+  // heartbeat's.
+  EXPECT_TRUE(eventually([&] { return Appends.load() >= 2; }, 150));
+  N.stop();
+  B.detach(2);
 }
 
 //===----------------------------------------------------------------------===//
