@@ -109,14 +109,18 @@ store::StoreStats RtCluster::storeStats() const {
   return Sum;
 }
 
+RtHandoffs RtCluster::handoffs() const {
+  RtHandoffs Sum;
+  for (const auto &N : Nodes)
+    Sum.accumulate(N->handoffs());
+  return Sum;
+}
+
 RtCluster::~RtCluster() { stop(); }
 
 void RtCluster::start() {
-  // LifeMu makes cluster lifecycle transitions atomic: the old unlocked
-  // Running flag let a start() racing a stop() interleave node
-  // starts/joins arbitrarily (annotating Running GUARDED_BY is what
-  // forced this). Joining under LifeMu is fine — workers only ever
-  // need ObsMu.
+  // LifeMu makes lifecycle transitions atomic, so a start() racing a
+  // stop() cannot interleave node starts and joins. Workers never take it.
   sync::MutexLock Lock(LifeMu);
   if (Running)
     return;
@@ -148,6 +152,17 @@ NodeId RtCluster::waitForLeader(uint64_t TimeoutMs) const {
   }
 }
 
+RtNode &RtCluster::leaderOr(size_t &Rotor) const {
+  // Prefer the node that currently claims leadership; fall back to
+  // round-robin so a stale claim cannot wedge the client.
+  for (const auto &N : Nodes) {
+    RtNodeStatus S = N->status();
+    if (!S.Crashed && S.Role == core::Role::Leader)
+      return *N;
+  }
+  return *Nodes[Rotor++ % Nodes.size()];
+}
+
 bool RtCluster::submitAndWait(MethodId Method, uint64_t TimeoutMs) {
   uint64_t Seq;
   {
@@ -157,21 +172,9 @@ bool RtCluster::submitAndWait(MethodId Method, uint64_t TimeoutMs) {
   auto Deadline = deadlineIn(TimeoutMs);
   size_t Rotor = 0;
   for (;;) {
-    // Prefer the node that currently claims leadership; fall back to
-    // round-robin so a stale claim cannot wedge the client.
-    RtNode *Target = nullptr;
-    for (const auto &N : Nodes) {
-      RtNodeStatus S = N->status();
-      if (!S.Crashed && S.Role == core::Role::Leader) {
-        Target = N.get();
-        break;
-      }
-    }
-    if (!Target)
-      Target = Nodes[Rotor++ % Nodes.size()].get();
     // At-least-once with a stable sequence number: re-sending after an
     // unobserved commit is harmless because commitment is keyed by Seq.
-    Target->submit(Method, Seq);
+    leaderOr(Rotor).submit(Method, Seq);
 
     // Open-coded predicate wait (rather than the wait_until overload
     // taking a lambda): the predicate reads ObsMu-guarded state, and a
@@ -192,34 +195,14 @@ bool RtCluster::submitAndWait(MethodId Method, uint64_t TimeoutMs) {
 
 void RtCluster::submitAsync(MethodId Method, uint64_t ClientSeq,
                             size_t Rotor) {
-  RtNode *Target = nullptr;
-  for (const auto &N : Nodes) {
-    RtNodeStatus S = N->status();
-    if (!S.Crashed && S.Role == core::Role::Leader) {
-      Target = N.get();
-      break;
-    }
-  }
-  if (!Target)
-    Target = Nodes[Rotor % Nodes.size()].get();
-  Target->submit(Method, ClientSeq);
+  leaderOr(Rotor).submit(Method, ClientSeq);
 }
 
 bool RtCluster::reconfigAndWait(const Config &NewConf, uint64_t TimeoutMs) {
   auto Deadline = deadlineIn(TimeoutMs);
   size_t Rotor = 0;
   for (;;) {
-    RtNode *Target = nullptr;
-    for (const auto &N : Nodes) {
-      RtNodeStatus S = N->status();
-      if (!S.Crashed && S.Role == core::Role::Leader) {
-        Target = N.get();
-        break;
-      }
-    }
-    if (!Target)
-      Target = Nodes[Rotor++ % Nodes.size()].get();
-    Target->requestReconfig(NewConf);
+    leaderOr(Rotor).requestReconfig(NewConf);
 
     sync::MutexLock Lock(ObsMu);
     auto Retry = deadlineIn(40);

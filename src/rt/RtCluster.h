@@ -205,6 +205,9 @@ public:
   /// Store-backed mode: per-node store counters summed cluster-wide.
   store::StoreStats storeStats() const;
 
+  /// Every node's RtNode::handoffs(), summed (any thread).
+  RtHandoffs handoffs() const;
+
   /// Broadcasts that woke the clients waiting in submitAndWait,
   /// reconfigAndWait and readAndWait: one per new ledger entry and one
   /// per read answer an attempt still awaits.
@@ -220,6 +223,9 @@ private:
   void onLeader(NodeId Node, Time Term) ADORE_EXCLUDES(ObsMu);
   void onReadDone(NodeId Node, uint64_t ReadId, bool Ok, size_t Index)
       ADORE_EXCLUDES(ObsMu);
+  /// The node claiming leadership, else node \p Rotor (bumped) of a
+  /// round-robin.
+  RtNode &leaderOr(size_t &Rotor) const;
   bool confCommittedLocked(const Config &NewConf) const
       ADORE_REQUIRES(ObsMu);
   void notifyObservers() ADORE_REQUIRES(ObsMu);

@@ -14,22 +14,6 @@
 using namespace adore;
 using namespace adore::rt;
 
-namespace {
-
-/// Cores the calling thread is stepping now. An input posted from inside
-/// a step (a Bus post, a hook) queues instead of stepping a second core
-/// on the same stack.
-thread_local unsigned StepDepth = 0;
-
-struct SteppingScope {
-  SteppingScope() { ++StepDepth; }
-  ~SteppingScope() { --StepDepth; }
-  SteppingScope(const SteppingScope &) = delete;
-  SteppingScope &operator=(const SteppingScope &) = delete;
-};
-
-} // namespace
-
 RtNode::RtNode(NodeId Id, const ReconfigScheme &Scheme, Config InitialConf,
                core::CoreOptions Opts, uint64_t Seed, Transport &Net,
                core::HostHooks Hooks, store::NodeStore *Store,
@@ -55,11 +39,8 @@ RtNode::~RtNode() {
 }
 
 void RtNode::start() {
-  // LifeMu serializes whole lifecycle transitions; without it, a
-  // start() racing a stop() could assign Worker while the stop was
-  // joining the old thread (a data race on the std::thread object the
-  // original lock scheme left unguarded — surfaced by annotating
-  // Worker GUARDED_BY and letting the analysis reject the old code).
+  // LifeMu serializes whole lifecycle transitions, so a start() racing a
+  // stop() cannot assign Worker while the stop joins the old thread.
   sync::MutexLock Life(LifeMu);
   {
     sync::MutexLock Lock(Mu);
@@ -92,13 +73,14 @@ void RtNode::stop() {
 void RtNode::enqueue(Item It) {
   sync::MutexLock Lock(Mu);
   // Step inline only when nothing queued could be overtaken, nobody owns
-  // the core, the worker is not waiting on a due timer, and this thread
-  // is not inside another step.
+  // the core and the worker is not waiting on a due timer. A frame a Bus
+  // posts inside another node's step is stepped here, on that stack.
   if (!Started || Stopping || Busy || WorkerWaiting || !Inbox.empty() ||
-      !isBatchable(It) || StepDepth != 0) {
+      !isBatchable(It)) {
     // An owner looks at the inbox before it lets go, so only an idle
     // worker needs the wake-up.
     bool Wake = !Busy;
+    Handoffs.WorkerWakes += Wake;
     Inbox.push_back(std::move(It));
     Lock.unlock();
     if (Wake)
@@ -106,25 +88,29 @@ void RtNode::enqueue(Item It) {
     return;
   }
   Busy = true;
+  ++Handoffs.Inline;
   Lock.unlock();
   stepInline(It);
 }
 
 void RtNode::stepInline(Item &It) {
-  SteppingScope Scope;
   core::Effects Effs;
   step(It, Effs);
   dispatch(std::move(Effs));
   sync::MutexLock Lock(Mu);
-  // What queued during the step (in the TCP closed loop, often the
-  // client's next submit) is stepped here, without waking the worker.
-  if (!WorkerWaiting && !Stopping) {
-    std::vector<Item> Batch = takeBatch();
-    if (!Batch.empty()) {
-      Lock.unlock();
-      stepBatch(Batch);
-      Lock.lock();
-    }
+  // What queued during the step (on the bus, the acks of the followers
+  // it stepped; on TCP, often the client's next submit) is stepped here
+  // without waking the worker. A barrier, what queues behind it, and
+  // what arrives meanwhile are the worker's: a flood cannot hold us.
+  for (size_t Left = Inbox.size(); Left != 0 && !WorkerWaiting && !Stopping;) {
+    std::vector<Item> Batch = takeBatch(Left);
+    if (Batch.empty())
+      break;
+    Left -= Batch.size();
+    Handoffs.Inline += Batch.size();
+    Lock.unlock();
+    stepBatch(Batch);
+    Lock.lock();
   }
   // A timer armed earlier than the worker's sleep target pulls the
   // target in, so the worker wakes for it even if another caller owns
@@ -134,6 +120,7 @@ void RtNode::stepInline(Item &It) {
   if (Earlier)
     SleepTarget = *Next;
   bool Wake = !Inbox.empty() || WorkerWaiting || Stopping || Earlier;
+  Handoffs.WorkerWakes += Wake;
   Busy = false;
   Lock.unlock();
   if (Wake)
@@ -141,45 +128,24 @@ void RtNode::stepInline(Item &It) {
 }
 
 void RtNode::enqueueFrame(std::string Frame) {
-  Item It;
-  It.K = Item::Kind::Frame;
-  It.Frame = std::move(Frame);
-  enqueue(std::move(It));
+  enqueue({.K = Item::Kind::Frame, .Frame = std::move(Frame)});
 }
 
 void RtNode::submit(MethodId Method, uint64_t ClientSeq) {
-  Item It;
-  It.K = Item::Kind::Submit;
-  It.Method = Method;
-  It.ClientSeq = ClientSeq;
-  enqueue(std::move(It));
+  enqueue({.K = Item::Kind::Submit, .Method = Method, .ClientSeq = ClientSeq});
 }
 
 void RtNode::requestReconfig(Config NewConf) {
-  Item It;
-  It.K = Item::Kind::Reconfig;
-  It.Conf = std::move(NewConf);
-  enqueue(std::move(It));
+  enqueue({.K = Item::Kind::Reconfig, .Conf = std::move(NewConf)});
 }
 
 void RtNode::read(uint64_t ReadId) {
-  Item It;
-  It.K = Item::Kind::Read;
-  It.ReadId = ReadId;
-  enqueue(std::move(It));
+  enqueue({.K = Item::Kind::Read, .ReadId = ReadId});
 }
 
-void RtNode::crash() {
-  Item It;
-  It.K = Item::Kind::Crash;
-  enqueue(std::move(It));
-}
+void RtNode::crash() { enqueue({.K = Item::Kind::Crash}); }
 
-void RtNode::restart() {
-  Item It;
-  It.K = Item::Kind::Restart;
-  enqueue(std::move(It));
-}
+void RtNode::restart() { enqueue({.K = Item::Kind::Restart}); }
 
 RtNodeStatus RtNode::status() const {
   sync::MutexLock Lock(StatusMu);
@@ -188,6 +154,11 @@ RtNodeStatus RtNode::status() const {
 
 uint64_t RtNode::malformedFrames() const {
   return Malformed.load(std::memory_order_relaxed);
+}
+
+RtHandoffs RtNode::handoffs() const {
+  sync::MutexLock Lock(Mu);
+  return Handoffs;
 }
 
 uint64_t RtNode::nowUs() const {
@@ -206,10 +177,7 @@ std::optional<RtNode::Clock::time_point> RtNode::nextDeadline() const {
 }
 
 void RtNode::run() {
-  {
-    SteppingScope Scope;
-    dispatch(Core.start());
-  }
+  dispatch(Core.start());
   sync::MutexLock Lock(Mu);
   Busy = false;
   for (;;) {
@@ -245,17 +213,15 @@ void RtNode::run() {
     } else {
       Batch = takeBatch();
     }
+    Handoffs.Queued += Batch.size() + Barrier.has_value();
     Lock.unlock();
-    {
-      SteppingScope Scope;
-      if (Barrier)
-        processBarrier(*Barrier);
-      else if (!Batch.empty())
-        stepBatch(Batch);
-      // Timers may have come due while processing; handle them before
-      // sleeping again.
-      fireDueTimers();
-    }
+    if (Barrier)
+      processBarrier(*Barrier);
+    else if (!Batch.empty())
+      stepBatch(Batch);
+    // Timers may have come due while processing; handle them before
+    // sleeping again.
+    fireDueTimers();
     Lock.lock();
     Busy = false;
   }
@@ -268,7 +234,7 @@ void RtNode::sleepUntil(Clock::time_point T) {
     Cv.waitUntil(Mu, T);
 }
 
-std::vector<RtNode::Item> RtNode::takeBatch() {
+std::vector<RtNode::Item> RtNode::takeBatch(size_t Limit) {
   // Consecutive core-step items (frames, submits, reconfigs, reads)
   // coalesce into ONE effect batch, so a store-backed host's persist
   // pre-pass fsyncs once for the whole burst (group commit). This is the
@@ -277,7 +243,8 @@ std::vector<RtNode::Item> RtNode::takeBatch() {
   // MaxInboxBatch=1 reproduces the one-item-one-dispatch schedule.
   std::vector<Item> Batch;
   while ((Batch.empty() || Batch.size() < Host.MaxInboxBatch) &&
-         !Inbox.empty() && isBatchable(Inbox.front())) {
+         Batch.size() < Limit && !Inbox.empty() &&
+         isBatchable(Inbox.front())) {
     Batch.push_back(std::move(Inbox.front()));
     Inbox.pop_front();
   }

@@ -12,12 +12,15 @@
 /// An input (a wire frame, a client command, an admin reconfig) that
 /// finds the node idle is stepped on the calling thread: a client inside
 /// submit()/read()/requestReconfig(), the TCP loop inside its delivery
-/// handler, or a Bus poster. Otherwise it lands in the inbox, which the
-/// node's worker thread drains in arrival order. The worker is the owner
-/// of last resort: it runs the core's start, the crash/restart barriers,
-/// queued items and the timers. The core's SetTimer effects become
-/// steady_clock deadlines the worker sleeps toward, and its Send effects
-/// are serialized through rt/Wire.h and posted to the transport.
+/// handler, or a Bus poster, perhaps from inside another node's step;
+/// so a bus write runs to completion on the client's thread. Before it
+/// lets go, the caller steps what queued during its step, no more.
+/// Everything else lands in the inbox, which the node's worker thread
+/// drains in arrival order. The worker is the owner of last resort: it
+/// runs the core's start, the crash/restart barriers, queued items and
+/// the timers. The core's SetTimer effects become steady_clock deadlines
+/// the worker sleeps toward, and its Send effects are serialized through
+/// rt/Wire.h and posted to the transport.
 ///
 /// Crash here is *state-level* fail-stop, matching the simulator: the
 /// worker keeps running but the core discards volatile state and ignores
@@ -52,10 +55,11 @@ namespace rt {
 
 /// Host-side tuning, orthogonal to core::CoreOptions.
 struct RtHostOptions {
-  /// Max consecutive inbox items (frames / submits / reconfigs) drained
-  /// and stepped through the core as ONE effect batch. A store-backed
-  /// host fsyncs once per dispatched batch, so raising this makes one
-  /// WAL sync cover a whole pipelined burst of appends (group commit).
+  /// Max consecutive inbox items (frames / submits / reconfigs) stepped
+  /// through the core as ONE effect batch, by the worker or by an inline
+  /// caller draining what queued during its step. A store-backed host
+  /// fsyncs once per dispatched batch, so raising this makes one WAL
+  /// sync cover a whole pipelined burst of appends (group commit).
   /// Crash/restart items never coalesce; they are batch barriers.
   ///
   /// The default, 1, dispatches each item on its own. Draining the
@@ -63,6 +67,25 @@ struct RtHostOptions {
   /// 3 of 3 runs on a 4-core host (bus 68-71 of 4000 ops complete, TCP
   /// 526-2880 of 4000), where 1 completes all 4000.
   size_t MaxInboxBatch = 1;
+};
+
+/// Who stepped a node's inputs since construction: the thread handoffs
+/// an input costs.
+struct RtHandoffs {
+  /// Inputs stepped on a calling thread that found the node idle, or
+  /// drained by such a caller before it let go.
+  uint64_t Inline = 0;
+  /// Inputs the worker stepped, barriers included: queued items that no
+  /// inline caller drained.
+  uint64_t Queued = 0;
+  /// Wake-ups other threads sent the worker.
+  uint64_t WorkerWakes = 0;
+
+  void accumulate(const RtHandoffs &O) {
+    Inline += O.Inline;
+    Queued += O.Queued;
+    WorkerWakes += O.WorkerWakes;
+  }
 };
 
 /// Snapshot of a node, refreshed by whichever thread stepped it, after
@@ -84,8 +107,10 @@ class RtNode {
 public:
   /// \p Hooks run on whichever thread steps the node: its worker, or a
   /// caller of enqueueFrame/submit/requestReconfig/read that found it
-  /// idle. They must be thread-safe against other nodes' steps, and a
-  /// caller of those methods must not hold a lock a hook takes.
+  /// idle, possibly with other nodes' steps below on its stack. They
+  /// must be thread-safe against other nodes' steps, must not call a
+  /// node input, and a caller of those methods must not hold a lock a
+  /// hook takes.
   ///
   /// \p Store, when non-null, makes persistence real: the node adopts
   /// whatever the store's directory holds at construction, flushes the
@@ -138,6 +163,9 @@ public:
   /// Count of bus frames that failed wire decoding (any thread).
   uint64_t malformedFrames() const;
 
+  /// Who has stepped this node's inputs so far (any thread).
+  RtHandoffs handoffs() const ADORE_EXCLUDES(Mu);
+
   /// Store-backed mode: one line per recovered field that diverged from
   /// the in-memory copy at a restart, or per unrecoverable directory
   /// (store::NodeStore::recoverInto's text). Always empty in in-memory
@@ -162,11 +190,11 @@ private:
       Restart
     };
     Kind K = Kind::Frame;
-    std::string Frame;
+    std::string Frame = {};
     MethodId Method = 0;
     uint64_t ClientSeq = 0;
     uint64_t ReadId = 0;
-    Config Conf;
+    Config Conf = {};
   };
 
   using Clock = std::chrono::steady_clock;
@@ -175,13 +203,15 @@ private:
   /// Steps \p It on the calling thread if the node is idle (see the
   /// file comment), otherwise queues it for the worker.
   void enqueue(Item It) ADORE_EXCLUDES(Mu);
-  /// The inline path: steps \p It, then one batch of what queued
-  /// meanwhile, then releases the core. Requires Busy claimed.
+  /// The inline path: steps \p It, then, in batches, the items queued
+  /// meanwhile, up to a barrier, then releases the core. Requires Busy
+  /// claimed.
   void stepInline(Item &It) ADORE_EXCLUDES(Mu);
   /// Waits on Cv until notified or \p T (max: until notified).
   void sleepUntil(Clock::time_point T) ADORE_REQUIRES(Mu);
-  /// Pops the inbox's next batch of up to MaxInboxBatch batchable items.
-  std::vector<Item> takeBatch() ADORE_REQUIRES(Mu);
+  /// Pops the inbox's next batch of up to MaxInboxBatch (and \p Limit)
+  /// batchable items.
+  std::vector<Item> takeBatch(size_t Limit = SIZE_MAX) ADORE_REQUIRES(Mu);
   /// Steps \p Batch through the core as ONE effect batch.
   void stepBatch(std::vector<Item> &Batch);
   uint64_t nowUs() const;
@@ -241,6 +271,7 @@ private:
   /// step that arms an earlier timer pulls it in and wakes the worker.
   Clock::time_point SleepTarget ADORE_GUARDED_BY(Mu) =
       Clock::time_point::max();
+  RtHandoffs Handoffs ADORE_GUARDED_BY(Mu);
 
   mutable sync::Mutex StatusMu;
   RtNodeStatus Cached ADORE_GUARDED_BY(StatusMu);

@@ -14,10 +14,11 @@
 /// about arrival.
 ///
 /// Implementations: rt::Bus (in-process, synchronous delivery on the
-/// posting thread) and net::TcpTransport (loopback TCP with an epoll
-/// loop, length-framed streams, reconnect-on-drop). Hosts (RtNode)
-/// program against this interface only, so the whole rt/chaos/bench
-/// stack runs unmodified over either fabric.
+/// posting thread, which steps an idle RtNode receiver right there) and
+/// net::TcpTransport (loopback TCP with an epoll loop, length-framed
+/// streams, reconnect-on-drop). Hosts (RtNode) program against this
+/// interface only, so the whole rt/chaos/bench stack runs unmodified
+/// over either fabric.
 ///
 /// Contract for implementations:
 ///  - attach(Id, H) replaces any previous handler for Id; the handler

@@ -704,6 +704,141 @@ TEST(RtNodeTest, InlineStepWakesWorkerForAnEarlierTimer) {
   B.detach(2);
 }
 
+TEST(RtNodeTest, BusWriteRunsToCompletionOnTheCallersThread) {
+  // Three nodes on one Bus, every timer 10 s away, and a leader made by
+  // hand. Each write's append, both followers' steps, both acks, the
+  // commit and the leader's apply run on this thread, and no input
+  // reaches a worker. A follower applies a write when the next write's
+  // append brings it the commit index, so after write I this thread
+  // has seen 3I+1 client applies.
+  const std::thread::id Caller = std::this_thread::get_id();
+  std::atomic<int> AppliesHere{0}, AppliesElsewhere{0};
+  Bus B;
+  RtClusterOptions O;
+  O.SharedNet = &B;
+  O.Node = quietOptions();
+  O.OnApplyExtra = [&](NodeId, size_t, const core::LogEntry &E) {
+    if (E.ClientSeq != 0) // Not the leader's no-op.
+      ++(std::this_thread::get_id() == Caller ? AppliesHere
+                                              : AppliesElsewhere);
+  };
+  RtCluster C(O);
+  C.start();
+  settle();
+  core::Msg M;
+  M.K = core::Msg::Kind::TimeoutNow;
+  M.From = 1;
+  M.To = 1;
+  M.Term = C.nodeStatus(1).Term;
+  B.post(1, encodeMsg(M));
+  ASSERT_EQ(C.waitForLeader(5000), NodeId(1));
+  settle();
+  RtHandoffs Before = C.handoffs();
+  for (int I = 0; I != 100; ++I) {
+    ASSERT_TRUE(C.submitAndWait(MethodId(I), 5000));
+    ASSERT_EQ(AppliesHere.load(), 3 * I + 1);
+  }
+  RtHandoffs After = C.handoffs();
+  C.stop();
+  EXPECT_EQ(AppliesElsewhere.load(), 0);
+  EXPECT_EQ(After.Queued, Before.Queued);
+  EXPECT_EQ(After.WorkerWakes, Before.WorkerWakes);
+  // Per write: the submit, one append at each follower, both acks.
+  EXPECT_EQ(After.Inline - Before.Inline, 100u * 5);
+  EXPECT_TRUE(C.violations().empty());
+}
+
+TEST(RtNodeTest, InlineDrainStepsOnlyWhatWasQueuedWhenItsStepEnded) {
+  // A writer's inline step parks in its apply while this thread queues
+  // N submits. Released, the writer steps those N before it lets go; a
+  // flood that a third thread queues meanwhile is the worker's. A crash
+  // barrier at the front of the inbox stops the drain at once, and what
+  // queued behind it is stepped after it, by the worker.
+  constexpr uint64_t N = 8, Flood = 8, Last = 1 + N + Flood + 1;
+  auto Scheme = makeScheme(SchemeKind::RaftSingleNode);
+  Bus B;
+  std::mutex M;
+  std::map<uint64_t, std::thread::id> AppliedOn; // By ClientSeq.
+  std::optional<std::pair<bool, std::thread::id>> ReadAnswer;
+  Gate InFirst, EndFirst, InSecond, EndSecond, InLast, EndLast;
+  core::HostHooks H;
+  H.OnApply = [&](NodeId, size_t, const core::LogEntry &E) {
+    {
+      std::lock_guard<std::mutex> L(M);
+      AppliedOn[E.ClientSeq] = std::this_thread::get_id();
+    }
+    auto Park = [](Gate &In, Gate &End) {
+      In.open();
+      End.wait();
+    };
+    if (E.ClientSeq == 1)
+      Park(InFirst, EndFirst);
+    else if (E.ClientSeq == 2)
+      Park(InSecond, EndSecond);
+    else if (E.ClientSeq == Last)
+      Park(InLast, EndLast);
+  };
+  H.OnRead = [&](NodeId, uint64_t, bool Ok, size_t) {
+    std::lock_guard<std::mutex> L(M);
+    ReadAnswer.emplace(Ok, std::this_thread::get_id());
+  };
+  RtNode Node(1, *Scheme, Config(NodeSet{1}), quietOptions(), 13, B, H);
+  Node.start();
+  electAlone(B, Node);
+  auto ThreadOf = [&](uint64_t Seq) {
+    std::lock_guard<std::mutex> L(M);
+    auto It = AppliedOn.find(Seq);
+    return It == AppliedOn.end() ? std::thread::id() : It->second;
+  };
+
+  RtHandoffs Before = Node.handoffs();
+  std::thread Writer([&Node] { Node.submit(1, 1); });
+  InFirst.wait();
+  for (uint64_t Seq = 2; Seq != 2 + N; ++Seq)
+    Node.submit(Seq, Seq);
+  EndFirst.open();
+  InSecond.wait(); // The writer is draining.
+  std::thread Flooder([&Node] {
+    for (uint64_t Seq = 2 + N; Seq != 2 + N + Flood; ++Seq)
+      Node.submit(Seq, Seq);
+  });
+  const std::thread::id FlooderId = Flooder.get_id();
+  Flooder.join();
+  EndSecond.open();
+  const std::thread::id WriterId = Writer.get_id();
+  Writer.join();
+  ASSERT_TRUE(eventually([&] {
+    return ThreadOf(1 + N + Flood) != std::thread::id();
+  }));
+  for (uint64_t Seq = 1; Seq != 2 + N; ++Seq)
+    EXPECT_EQ(ThreadOf(Seq), WriterId) << "ClientSeq " << Seq;
+  for (uint64_t Seq = 2 + N; Seq != 2 + N + Flood; ++Seq) {
+    EXPECT_NE(ThreadOf(Seq), WriterId) << "ClientSeq " << Seq;
+    EXPECT_NE(ThreadOf(Seq), FlooderId) << "ClientSeq " << Seq;
+  }
+  RtHandoffs After = Node.handoffs();
+  EXPECT_EQ(After.Inline - Before.Inline, 1 + N);
+  EXPECT_EQ(After.Queued - Before.Queued, Flood);
+
+  // The barrier: a crash and a read queue behind a parked writer.
+  std::thread Writer2([&Node] { Node.submit(Last, Last); });
+  InLast.wait();
+  Node.crash();
+  Node.read(1);
+  EndLast.open();
+  const std::thread::id Writer2Id = Writer2.get_id();
+  Writer2.join();
+  ASSERT_TRUE(eventually([&] {
+    std::lock_guard<std::mutex> L(M);
+    return ReadAnswer.has_value();
+  }));
+  Node.stop();
+  EXPECT_TRUE(Node.coreForInspection().isCrashed());
+  EXPECT_FALSE(ReadAnswer->first);
+  EXPECT_NE(ReadAnswer->second, Writer2Id);
+  EXPECT_EQ(Node.handoffs().Queued - After.Queued, 2u);
+}
+
 //===----------------------------------------------------------------------===//
 // Golden frames: the full wire-compat pin set
 //===----------------------------------------------------------------------===//
