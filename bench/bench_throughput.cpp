@@ -48,9 +48,13 @@
 // Output: a per-run table, BENCH_throughput.json, and a baseline-vs-
 // pipelined summary. Each run also reports vcsw/op: the process's
 // voluntary context switches over the run (setup included) per op
-// completed, a count of wake-ups that host noise barely moves. Exit is
+// completed, a count of wake-ups that host noise barely moves; and
+// queued/op: inputs its nodes' workers stepped (rt::RtHandoffs::Queued)
+// per op completed, the thread handoffs behind those wake-ups. Exit is
 // nonzero iff a run failed outright (no leader, op timeout, open-loop
-// completion shortfall); malformed flags exit 2 with usage.
+// completion shortfall, reported with the term change over the cell,
+// the leader at the deadline and the first missing ClientSeq);
+// malformed flags exit 2 with usage.
 //
 //===----------------------------------------------------------------------===//
 
@@ -62,11 +66,13 @@
 #include "support/Stats.h"
 #include "support/Sync.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -118,6 +124,7 @@ struct RunResult {
   store::StoreStats Store;
   bool HaveNet = false;
   net::TcpTransportStats Net;
+  rt::RtHandoffs Handoffs;
 };
 
 int usage(const char *Prog) {
@@ -190,6 +197,13 @@ public:
     sync::MutexLock Lock(Mu);
     return std::move(Latencies);
   }
+  /// The lowest sequence number expected and not yet observed.
+  std::optional<uint64_t> firstMissing() const {
+    sync::MutexLock Lock(Mu);
+    if (Pending.empty())
+      return std::nullopt;
+    return Pending.begin()->first;
+  }
 
 private:
   mutable sync::Mutex Mu;
@@ -199,6 +213,32 @@ private:
   size_t DoneCount ADORE_GUARDED_BY(Mu) = 0;
   uint64_t LastDoneUs ADORE_GUARDED_BY(Mu) = 0;
 };
+
+/// The highest term any replica of \p C reports.
+Time highestTerm(const rt::RtCluster &C) {
+  Time T = 0;
+  for (NodeId Id : C.universe())
+    T = std::max(T, C.nodeStatus(Id).Term);
+  return T;
+}
+
+/// An open-loop shortfall, with what it takes to attribute it: the term
+/// change over the cell, the leader at the deadline, and the first op
+/// whose apply was never seen. \p C is the group that op went to.
+std::string shortfallError(size_t Done, size_t Ops, Time TermBefore,
+                           const rt::RtCluster &C,
+                           const CompletionTracker &Tracker) {
+  NodeId Leader = C.waitForLeader(0);
+  std::optional<uint64_t> Missing = Tracker.firstMissing();
+  return "open-loop completion shortfall: " + std::to_string(Done) + "/" +
+         std::to_string(Ops) + " (term " + std::to_string(TermBefore) +
+         " -> " + std::to_string(highestTerm(C)) + ", leader at deadline " +
+         (Leader == InvalidNodeId ? "none" : "S" + std::to_string(Leader)) +
+         ", first missing ClientSeq " +
+         (Missing ? "base+" + std::to_string(*Missing - OpenLoopSeqBase)
+                  : "none") +
+         ")";
+}
 
 rt::RtClusterOptions clusterOptionsFor(const BenchOptions &Bench,
                                       const RunSpec &Spec, uint64_t Seed) {
@@ -256,6 +296,7 @@ RunResult runSingleGroup(const BenchOptions &Bench, const RunSpec &Spec,
       R.ElapsedS = static_cast<double>(monoUs() - T0) / 1e6;
       R.OpsCompleted = Ops;
     } else {
+      Time TermBefore = highestTerm(Cluster);
       uint64_t T0 = monoUs();
       for (size_t I = 0; I != Ops; ++I) {
         uint64_t Seq = OpenLoopSeqBase + I;
@@ -270,13 +311,13 @@ RunResult runSingleGroup(const BenchOptions &Bench, const RunSpec &Spec,
       // orphan a few submits. A small shortfall is measurement noise, a
       // large one is a harness failure.
       if (R.OpsCompleted < Ops - Ops / 10) {
-        R.Error = "open-loop completion shortfall: " +
-                  std::to_string(R.OpsCompleted) + "/" +
-                  std::to_string(Ops);
+        R.Error = shortfallError(R.OpsCompleted, Ops, TermBefore, Cluster,
+                                 Tracker);
         return R;
       }
     }
     Cluster.stop();
+    R.Handoffs = Cluster.handoffs();
     if (Bench.Durable) {
       R.HaveStore = true;
       R.Store = Cluster.storeStats();
@@ -339,6 +380,9 @@ RunResult runSharded(const BenchOptions &Bench, const RunSpec &Spec,
     R.ElapsedS = static_cast<double>(monoUs() - T0) / 1e6;
     R.OpsCompleted = Ops;
   } else {
+    std::vector<Time> TermsBefore;
+    for (size_t G = 0; G <= DataGroups; ++G)
+      TermsBefore.push_back(highestTerm(Pool.group(G)));
     uint64_t T0 = monoUs();
     for (size_t I = 0; I != Ops; ++I) {
       uint64_t Seq = OpenLoopSeqBase + I;
@@ -351,12 +395,18 @@ RunResult runSharded(const BenchOptions &Bench, const RunSpec &Spec,
     R.ElapsedS = T1 > T0 ? static_cast<double>(T1 - T0) / 1e6 : 0;
     R.LatencyUs = Tracker.takeLatencies();
     if (R.OpsCompleted < Ops - Ops / 10) {
-      R.Error = "open-loop completion shortfall: " +
-                std::to_string(R.OpsCompleted) + "/" + std::to_string(Ops);
+      // Blame the group the first missing op went to.
+      uint64_t Op =
+          Tracker.firstMissing().value_or(OpenLoopSeqBase) - OpenLoopSeqBase;
+      size_t G = 1 + Op % DataGroups;
+      R.Error = shortfallError(R.OpsCompleted, Ops, TermsBefore[G],
+                               Pool.group(G), Tracker);
       return R;
     }
   }
   Pool.stop();
+  for (size_t G = 0; G <= DataGroups; ++G)
+    R.Handoffs.accumulate(Pool.group(G).handoffs());
   if (R.ElapsedS > 0)
     R.OpsPerSec = static_cast<double>(R.OpsCompleted) / R.ElapsedS;
   R.Ok = true;
@@ -581,9 +631,9 @@ int main(int Argc, char **Argv) {
   W.key("durable").value(Bench.Durable);
   W.key("runs").beginArray();
 
-  std::printf("%-4s %-10s %-7s %8s %10s %9s %9s %9s %8s\n", "net",
+  std::printf("%-4s %-10s %-7s %8s %10s %9s %9s %9s %8s %9s\n", "net",
               "tuning", "mode", "ops", "ops/sec", "p50us", "p99us", "p999us",
-              "vcsw/op");
+              "vcsw/op", "queued/op");
   bool AnyFailed = false;
   // ops/sec keyed by (transport, mode, tuning) for the summary.
   std::map<std::string, double> Rates;
@@ -593,20 +643,24 @@ int main(int Argc, char **Argv) {
     uint64_t Vcsw0 = voluntarySwitches();
     RunResult R = Bench.Groups > 1 ? runSharded(Bench, Spec, Ops)
                                    : runSingleGroup(Bench, Spec, Ops);
-    double VcswPerOp =
-        R.OpsCompleted ? static_cast<double>(voluntarySwitches() - Vcsw0) /
-                             static_cast<double>(R.OpsCompleted)
-                       : 0.0;
+    auto PerOp = [&R](uint64_t Count) {
+      return R.OpsCompleted ? static_cast<double>(Count) /
+                                  static_cast<double>(R.OpsCompleted)
+                            : 0.0;
+    };
+    double VcswPerOp = PerOp(voluntarySwitches() - Vcsw0);
+    double QueuedPerOp = PerOp(R.Handoffs.Queued);
     const char *Net = rt::RtClusterOptions::transportName(Spec.Transport);
     if (!R.Ok) {
       AnyFailed = true;
       std::printf("%-4s %-10s %-7s FAILED: %s\n", Net, Spec.Tuning,
                   Spec.Mode, R.Error.c_str());
     } else {
-      std::printf("%-4s %-10s %-7s %8zu %10.0f %9.0f %9.0f %9.0f %8.2f\n",
-                  Net, Spec.Tuning, Spec.Mode, R.OpsCompleted, R.OpsPerSec,
-                  R.LatencyUs.percentile(50), R.LatencyUs.percentile(99),
-                  R.LatencyUs.percentile(99.9), VcswPerOp);
+      std::printf(
+          "%-4s %-10s %-7s %8zu %10.0f %9.0f %9.0f %9.0f %8.2f %9.2f\n",
+          Net, Spec.Tuning, Spec.Mode, R.OpsCompleted, R.OpsPerSec,
+          R.LatencyUs.percentile(50), R.LatencyUs.percentile(99),
+          R.LatencyUs.percentile(99.9), VcswPerOp, QueuedPerOp);
       Rates[std::string(Net) + "/" + Spec.Mode + "/" + Spec.Tuning] =
           R.OpsPerSec;
     }
@@ -625,6 +679,7 @@ int main(int Argc, char **Argv) {
     W.key("elapsed_s").value(R.ElapsedS);
     W.key("ops_per_sec").value(R.OpsPerSec);
     W.key("vcsw_per_op").value(VcswPerOp);
+    W.key("queued_per_op").value(QueuedPerOp);
     if (!R.LatencyUs.empty()) {
       W.key("lat_us_mean").value(R.LatencyUs.mean());
       W.key("lat_us_p50").value(R.LatencyUs.percentile(50));
